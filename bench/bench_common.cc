@@ -6,46 +6,9 @@
 
 #include "fairmove/common/parallel.h"
 #include "fairmove/obs/jsonl.h"
-#include "fairmove/obs/span.h"
 #include "fairmove/obs/telemetry.h"
 
 namespace fairmove::bench {
-
-namespace {
-
-/// Run-end hook shared by every bench: flush the run manifest + registry
-/// snapshot + a final pool-health row (telemetry), and print the span tree
-/// (profiling). Registered once from PrintHeader via atexit so even benches
-/// that exit through std::exit produce complete artefacts.
-void FinalizeObservability() {
-  Telemetry& telemetry = Telemetry::Get();
-  if (telemetry.enabled()) {
-    const PoolStats stats = GlobalPool().stats();
-    JsonObject row;
-    row.Set("kind", "pool")
-        .Set("threads", GlobalPool().num_threads())
-        .Set("regions", stats.regions)
-        .Set("tasks", stats.tasks)
-        .Set("queue_wait_ns_total", stats.queue_wait_ns_total)
-        .Set("queue_wait_ns_max", stats.queue_wait_ns_max);
-    telemetry.pool_stream().Write(row);
-    telemetry.Finalize();
-  }
-  if (Profiler::enabled()) {
-    const std::string tree = Profiler::ReportText();
-    if (!tree.empty()) std::fputs(tree.c_str(), stdout);
-  }
-}
-
-void RegisterFinalizerOnce() {
-  static const bool registered = [] {
-    std::atexit(FinalizeObservability);
-    return true;
-  }();
-  (void)registered;
-}
-
-}  // namespace
 
 BenchSetup MakeSetup(double default_scale, int default_episodes,
                      int default_days) {
@@ -117,7 +80,6 @@ void PrintHeader(const std::string& artefact, const BenchSetup& setup) {
               setup.config.city.num_stations, setup.config.sim.num_taxis,
               static_cast<unsigned long long>(setup.config.sim.seed),
               GlobalPool().num_threads());
-  RegisterFinalizerOnce();
   Telemetry& telemetry = Telemetry::Get();
   if (telemetry.enabled()) {
     RunManifest& manifest = telemetry.manifest();

@@ -15,21 +15,13 @@ namespace fairmove {
 ///   FAIRMOVE_DAYS      — evaluation horizon in days
 ///   FAIRMOVE_THREADS   — execution-layer thread count (>= 1; 1 = exact
 ///                        serial path, unset = hardware concurrency)
-///   FAIRMOVE_TELEMETRY — directory for JSONL telemetry streams + run
-///                        manifest (non-empty path; unset = telemetry off)
-///   FAIRMOVE_PROFILE   — "1" enables the scoped-span wall-clock profiler,
-///                        "0"/unset disables it
 ///   FAIRMOVE_CHECKPOINT_DIR    — directory for durable training
 ///                        checkpoints (non-empty path; unset = off)
 ///   FAIRMOVE_CHECKPOINT_EVERY  — checkpoint every N episodes (>= 1)
 ///   FAIRMOVE_CHECKPOINT_RETAIN — retained checkpoint depth (>= 1)
-///   FAIRMOVE_METRICS_EXPORT — <dir>:<period_ms> live metrics export
-///                        (period in [10, 3600000]; unset = off)
-///   FAIRMOVE_STALL_MS  — stall watchdog wall-clock budget in ms
-///                        ([100, 3600000]; unset = watchdog off)
-///   FAIRMOVE_FLIGHT    — "0" disables the flight recorder (default on)
-///   FAIRMOVE_FLIGHT_EVENTS — per-thread ring capacity (rounded up to a
-///                        power of two in [256, 1048576])
+/// The observability knobs (FAIRMOVE_TELEMETRY, _PROFILE, _METRICS_EXPORT,
+/// _STALL_MS, _FLIGHT, _FLIGHT_EVENTS, _FLIGHT_DUMP_DIR) are not here: the
+/// obs layer parses them itself, once (ParseObsKnobs in obs/knobs.h).
 /// Unset variables leave the provided default untouched; malformed values
 /// return InvalidArgument so a typo fails loudly instead of silently running
 /// the wrong experiment.
@@ -40,18 +32,10 @@ struct EnvOverrides {
   int days = 0;
   /// 0 = unset (the pool sizes itself from hardware concurrency).
   int threads = 0;
-  /// Empty = telemetry off.
-  std::string telemetry_dir;
-  bool profile = false;
   /// Empty = checkpointing off.
   std::string checkpoint_dir;
   int checkpoint_every = 1;
   int checkpoint_retain = 3;
-  /// Empty = live metrics export off.
-  std::string metrics_export_dir;
-  int64_t metrics_export_period_ms = 0;
-  /// 0 = stall watchdog off.
-  int64_t stall_budget_ms = 0;
 
   /// Reads the FAIRMOVE_* variables, using the current field values as
   /// defaults.

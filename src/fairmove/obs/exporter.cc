@@ -3,30 +3,27 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 
-#include "fairmove/common/config.h"
 #include "fairmove/obs/flight_recorder.h"
 #include "fairmove/obs/latency.h"
 #include "fairmove/obs/manifest.h"
-#include "fairmove/obs/metrics.h"
 #include "fairmove/io/atomic_file.h"
+#include "fairmove/obs/metrics.h"
 
 namespace fairmove {
 
 namespace {
 
-constexpr int64_t kMinPeriodMs = 10;
-constexpr int64_t kMaxPeriodMs = 3600000;
 /// Sliding window width for the exported tail quantiles (completed epochs).
 constexpr int kExportWindows = 4;
 
-MetricsExporter* g_exporter = nullptr;
+/// Serialises Start/Stop. The one exporter is leaked: the atexit stop
+/// below may run while worker threads still hold the pointer.
 std::mutex g_exporter_mu;
+MetricsExporter* g_exporter = nullptr;
 
-void StopGlobalExporter() {
-  std::lock_guard<std::mutex> lock(g_exporter_mu);
-  if (g_exporter != nullptr) g_exporter->Stop();
-}
+void StopGlobalExporter() { g_exporter->Stop(); }
 
 void AppendPromLine(std::string* out, const std::string& name,
                     const std::string& labels, double value) {
@@ -51,67 +48,31 @@ std::string PrometheusName(const std::string& name) {
   return out;
 }
 
-StatusOr<ExporterOptions> ParseExportSpec(const std::string& spec) {
-  const size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == spec.size()) {
-    return Status::InvalidArgument(
-        "metrics export spec must be <dir>:<period_ms>, got '" + spec + "'");
-  }
-  const StatusOr<int64_t> period = ParseInt(spec.substr(colon + 1));
-  if (!period.ok() || *period < kMinPeriodMs || *period > kMaxPeriodMs) {
-    return Status::InvalidArgument(
-        "metrics export period_ms must be an integer in [" +
-        std::to_string(kMinPeriodMs) + ", " + std::to_string(kMaxPeriodMs) +
-        "], got '" + spec.substr(colon + 1) + "'");
-  }
-  ExporterOptions options;
-  options.dir = spec.substr(0, colon);
-  options.period_ms = *period;
-  return options;
-}
-
-MetricsExporter* MetricsExporter::StartFromEnv() {
-  {
-    std::lock_guard<std::mutex> lock(g_exporter_mu);
-    if (g_exporter != nullptr) return g_exporter;
-  }
-  const char* spec = std::getenv("FAIRMOVE_METRICS_EXPORT");
-  if (spec == nullptr || spec[0] == '\0') return nullptr;
-  const StatusOr<ExporterOptions> options = ParseExportSpec(spec);
-  FM_CHECK(options.ok()) << "FAIRMOVE_METRICS_EXPORT=" << spec << ": "
-                         << options.status().ToString();
-  const StatusOr<MetricsExporter*> exporter = Start(*options);
-  FM_CHECK(exporter.ok()) << "FAIRMOVE_METRICS_EXPORT=" << spec << ": "
-                          << exporter.status().ToString();
-  return *exporter;
-}
-
 StatusOr<MetricsExporter*> MetricsExporter::Start(
     const ExporterOptions& options) {
+  std::lock_guard<std::mutex> lifecycle(g_exporter_mu);
+  if (g_exporter == nullptr) {
+    g_exporter = new MetricsExporter();
+    std::atexit(&StopGlobalExporter);
+  }
+  MetricsExporter* exporter = g_exporter;
+  if (exporter->running_) return exporter;
   std::error_code ec;
   std::filesystem::create_directories(options.dir, ec);
   if (ec) {
     return Status::IOError("cannot create export dir '" + options.dir +
                            "': " + ec.message());
   }
-  // Leaked like the other obs singletons; Stop() is what releases the
-  // thread, and it is wired to atexit below.
-  auto* exporter = new MetricsExporter(options);
-  FM_RETURN_IF_ERROR(
-      exporter->windows_.Open(options.dir + "/windows.jsonl"));
+  FM_RETURN_IF_ERROR(exporter->windows_.Open(options.dir + "/windows.jsonl"));
+  exporter->options_ = options;
   {
-    std::lock_guard<std::mutex> lock(g_exporter_mu);
-    if (g_exporter == nullptr) {
-      g_exporter = exporter;
-      std::atexit(&StopGlobalExporter);
-    }
+    std::lock_guard<std::mutex> lock(exporter->mu_);
+    exporter->stop_requested_ = false;
   }
+  exporter->running_ = true;
   exporter->thread_ = std::thread([exporter] { exporter->Loop(); });
   return exporter;
 }
-
-MetricsExporter::MetricsExporter(ExporterOptions options)
-    : options_(std::move(options)) {}
 
 void MetricsExporter::Loop() {
   std::unique_lock<std::mutex> lock(mu_);
@@ -125,14 +86,15 @@ void MetricsExporter::Loop() {
 }
 
 void MetricsExporter::Stop() {
+  std::lock_guard<std::mutex> lifecycle(g_exporter_mu);
+  if (!running_) return;
+  running_ = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) return;
     stop_requested_ = true;
-    stopped_ = true;
   }
   cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
+  thread_.join();
   Tick();  // final snapshot so short runs still leave artefacts
   windows_.Close();
 }
@@ -141,7 +103,7 @@ void MetricsExporter::Tick() {
   const uint64_t seq = seq_.fetch_add(1, std::memory_order_acq_rel) + 1;
   LatencyRegistry::AdvanceAllEpochs();
   const std::vector<LatencyRecorder*> recorders = LatencyRegistry::All();
-  const MetricsRegistry::Snapshot snapshot = Metrics().GetSnapshot();
+  const std::map<std::string, int64_t> counters = Metrics().Counters();
   const std::string now_utc = Iso8601UtcNow();
   const double period_s = static_cast<double>(options_.period_ms) / 1000.0;
 
@@ -217,25 +179,10 @@ void MetricsExporter::Tick() {
   prom.reserve(4096);
   prom += "# fairmove metrics export seq=" + std::to_string(seq) + " " +
           now_utc + "\n";
-  for (const auto& [name, value] : snapshot.counters) {
+  for (const auto& [name, value] : counters) {
     const std::string metric = "fairmove_" + PrometheusName(name);
     prom += "# TYPE " + metric + " counter\n";
     AppendPromLine(&prom, metric, "", static_cast<double>(value));
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    const std::string metric = "fairmove_" + PrometheusName(name);
-    prom += "# TYPE " + metric + " gauge\n";
-    AppendPromLine(&prom, metric, "", value);
-  }
-  for (const auto& [name, data] : snapshot.histograms) {
-    const std::string metric = "fairmove_" + PrometheusName(name);
-    prom += "# TYPE " + metric + " summary\n";
-    AppendPromLine(&prom, metric, "{quantile=\"0.5\"}", data.Quantile(0.5));
-    AppendPromLine(&prom, metric, "{quantile=\"0.9\"}", data.Quantile(0.9));
-    AppendPromLine(&prom, metric, "{quantile=\"0.99\"}", data.Quantile(0.99));
-    AppendPromLine(&prom, metric + "_sum", "", data.sum);
-    AppendPromLine(&prom, metric + "_count", "",
-                   static_cast<double>(data.count));
   }
   for (const LatencyRow& row : rows) {
     const std::string metric =

@@ -10,17 +10,9 @@
 
 #include "fairmove/common/status.h"
 #include "fairmove/obs/jsonl.h"
+#include "fairmove/obs/knobs.h"
 
 namespace fairmove {
-
-/// Parsed form of FAIRMOVE_METRICS_EXPORT=<dir>:<period_ms>. The period is
-/// the last ':'-separated field so directory paths containing ':' still
-/// parse; period must be in [10, 3600000].
-struct ExporterOptions {
-  std::string dir;
-  int64_t period_ms = 1000;
-};
-StatusOr<ExporterOptions> ParseExportSpec(const std::string& spec);
 
 /// Periodic metrics exporter: every period it rotates the latency epoch,
 /// snapshots the metrics registry and latency recorders, and publishes
@@ -41,13 +33,12 @@ StatusOr<ExporterOptions> ParseExportSpec(const std::string& spec);
 /// test at FAIRMOVE_THREADS 1 and 4).
 class MetricsExporter {
  public:
-  /// Starts the process-wide exporter from FAIRMOVE_METRICS_EXPORT.
-  /// Returns nullptr when the variable is unset; aborts on a malformed
-  /// spec (a typo must not silently disable observability). Idempotent —
-  /// later calls return the already-running instance.
-  static MetricsExporter* StartFromEnv();
-
-  /// Starts an exporter explicitly (tests). Creates `dir`.
+  /// Starts the process-wide exporter (FAIRMOVE_METRICS_EXPORT reaches it
+  /// through the telemetry hub) and creates `options.dir`. Idempotent:
+  /// while the exporter runs, every call returns it unchanged, whatever
+  /// `options` say; after Stop() the next call restarts the same instance
+  /// on the new options. The instance lives for the whole process and is
+  /// stopped at exit.
   static StatusOr<MetricsExporter*> Start(const ExporterOptions& options);
 
   /// Stops the export thread and writes one final snapshot. Idempotent.
@@ -58,19 +49,18 @@ class MetricsExporter {
 
   uint64_t ticks() const { return seq_.load(std::memory_order_acquire); }
   const std::string& dir() const { return options_.dir; }
-  const ExporterOptions& options() const { return options_; }
 
  private:
-  explicit MetricsExporter(ExporterOptions options);
+  MetricsExporter() = default;
   void Loop();
 
   ExporterOptions options_;
   JsonlWriter windows_;
   std::atomic<uint64_t> seq_{0};
+  bool running_ = false;  // guarded by the process-wide lifecycle mutex
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_requested_ = false;
-  bool stopped_ = false;
   std::thread thread_;
 };
 

@@ -8,14 +8,13 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 
-#include "fairmove/common/config.h"
 #include "fairmove/common/macros.h"
 #include "fairmove/io/atomic_file.h"
 #include "fairmove/io/binary.h"
+#include "fairmove/obs/knobs.h"
 
 namespace fairmove {
 
@@ -25,9 +24,6 @@ constexpr char kMagic[6] = {'F', 'M', 'F', 'R', '1', '\n'};
 constexpr uint16_t kVersion = 1;
 constexpr int kMaxRings = 256;
 constexpr int kMaxNames = 512;
-constexpr uint32_t kMinCapacity = 256;
-constexpr uint32_t kMaxCapacity = 1u << 20;
-constexpr uint32_t kDefaultCapacity = 4096;
 
 /// One ring slot: a FlightEvent packed into three relaxed atomic words
 /// (w0 = t_ns, w1 = name_id | kind<<16 | reserved<<24 | arg0<<32,
@@ -84,27 +80,15 @@ std::atomic<int> g_num_names{1};  // id 0 reserved for overflow
 std::mutex g_intern_mu;
 
 std::atomic<bool>& EnabledFlag() {
-  static std::atomic<bool> flag([] {
-    const char* v = std::getenv("FAIRMOVE_FLIGHT");
-    return v == nullptr || std::strcmp(v, "0") != 0;
-  }());
+  static std::atomic<bool> flag(GetObsKnobs().flight);
   return flag;
 }
 
 uint32_t RingCapacity() {
   static const uint32_t capacity = [] {
-    uint32_t cap = kDefaultCapacity;
-    if (const char* v = std::getenv("FAIRMOVE_FLIGHT_EVENTS")) {
-      const StatusOr<int64_t> parsed = ParseInt(v);
-      FM_CHECK(parsed.ok() && *parsed >= static_cast<int64_t>(kMinCapacity) &&
-               *parsed <= static_cast<int64_t>(kMaxCapacity))
-          << "FAIRMOVE_FLIGHT_EVENTS must be an integer in ["
-          << kMinCapacity << ", " << kMaxCapacity << "], got '" << v << "'";
-      cap = static_cast<uint32_t>(*parsed);
-    }
     // Round up to a power of two so the ring index is a mask.
-    uint32_t pow2 = kMinCapacity;
-    while (pow2 < cap) pow2 <<= 1;
+    uint32_t pow2 = FlightRecorder::kMinCapacity;
+    while (pow2 < GetObsKnobs().flight_events) pow2 <<= 1;
     return pow2;
   }();
   return capacity;
@@ -300,14 +284,14 @@ uint16_t FlightRecorder::InternName(const char* name) {
   return static_cast<uint16_t>(n);
 }
 
-void FlightRecorder::Record(uint8_t kind, uint16_t name_id, int32_t arg0,
-                            int64_t arg1) {
+void FlightRecorder::RecordAt(int64_t t_ns, uint8_t kind, uint16_t name_id,
+                              int32_t arg0, int64_t arg1) {
   if (!enabled()) return;
   FlightRing* ring = LocalRing();
   if (ring == nullptr) return;
   const uint64_t head = ring->head.load(std::memory_order_relaxed);
-  StoreSlot(&ring->events[head & (ring->capacity - 1)], NowNs(), name_id,
-            kind, arg0, arg1);
+  StoreSlot(&ring->events[head & (ring->capacity - 1)], t_ns, name_id, kind,
+            arg0, arg1);
   ring->head.store(head + 1, std::memory_order_release);
 }
 
@@ -419,7 +403,7 @@ StatusOr<FlightDump> ParseFlightDump(std::string_view data) {
     FM_RETURN_IF_ERROR(in.ReadU64(&ring.recorded_total));
     uint32_t stored = 0;
     FM_RETURN_IF_ERROR(in.ReadU32(&stored));
-    if (stored > kMaxCapacity || ring.recorded_total < stored) {
+    if (stored > FlightRecorder::kMaxCapacity || ring.recorded_total < stored) {
       return Status::InvalidArgument("corrupt ring section (stored=" +
                                      std::to_string(stored) + ")");
     }

@@ -43,6 +43,10 @@ enum FlightEventKind : uint8_t {
 /// state (determinism contract, DESIGN.md §8).
 class FlightRecorder {
  public:
+  /// Bounds of the per-thread ring capacity (FAIRMOVE_FLIGHT_EVENTS).
+  static constexpr uint32_t kMinCapacity = 256;
+  static constexpr uint32_t kMaxCapacity = 1u << 20;
+
   /// On unless FAIRMOVE_FLIGHT=0 in the environment.
   static bool enabled();
   static void SetEnabled(bool on);
@@ -58,7 +62,13 @@ class FlightRecorder {
   /// (but not from a signal handler — the first event on a thread
   /// allocates its ring).
   static void Record(uint8_t kind, uint16_t name_id, int32_t arg0 = 0,
-                     int64_t arg1 = 0);
+                     int64_t arg1 = 0) {
+    RecordAt(NowNs(), kind, name_id, arg0, arg1);
+  }
+  /// Record() with a caller-read NowNs() timestamp (FM_SPAN shares its
+  /// clock reads with the profiler and the latency recorder).
+  static void RecordAt(int64_t t_ns, uint8_t kind, uint16_t name_id,
+                       int32_t arg0 = 0, int64_t arg1 = 0);
   static void Instant(uint16_t name_id, int32_t arg0 = 0, int64_t arg1 = 0) {
     Record(kFlightInstant, name_id, arg0, arg1);
   }

@@ -9,12 +9,11 @@
 
 namespace fairmove {
 
-/// A parsed JSON value. jsonl.h deliberately ships only a validator — the
-/// telemetry writers never read their own output — but the perf-gate
-/// tooling must compare two BENCH_*.json documents field by field, which
-/// needs an actual DOM. The shape is the minimal tree for that job: every
-/// number is a double (the builders emit %.17g, which round-trips), object
-/// members keep document order, and there is no mutation API.
+/// A parsed JSON value — the tree behind every JSON reader in the repo
+/// (ValidateJson, JsonObjectKeys, the JSONL checks, the perf gate's
+/// document diff). Every number is a double (the builders emit %.17g,
+/// which round-trips), object members keep document order, and there is no
+/// mutation API.
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
 
@@ -44,8 +43,7 @@ struct JsonValue {
 };
 
 /// Parses exactly one JSON value (RFC 8259: objects, arrays, strings,
-/// numbers, true/false/null) with nothing but whitespace around it —
-/// the same grammar ValidateJson accepts, now materialised as a tree.
+/// numbers, true/false/null) with nothing but whitespace around it.
 /// Returns InvalidArgument with a byte offset on the first syntax error.
 /// Nesting deeper than 64 levels is rejected (the recursive parser must
 /// not let a hostile document overflow the stack).

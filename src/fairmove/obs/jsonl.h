@@ -102,19 +102,15 @@ class JsonlWriter {
   int64_t rows_ = 0;
 };
 
-/// Validates that `text` is exactly one well-formed JSON value (RFC 8259
-/// syntax: objects, arrays, strings, numbers, true/false/null) with nothing
-/// but whitespace around it. Returns InvalidArgument with a byte offset on
-/// the first syntax error. This is a validator, not a parser — the
-/// observability layer only ever needs "does this parse" plus top-level
-/// keys, so there is no DOM to build or free.
+/// Validates that `text` is exactly one well-formed JSON value:
+/// ParseJson(text).status() (obs/json_parse.h holds the one grammar).
 Status ValidateJson(const std::string& text);
 
-/// Validates `text` as a JSON object and returns its top-level keys in
+/// Parses `text` as a JSON object and returns its top-level keys in
 /// document order.
 StatusOr<std::vector<std::string>> JsonObjectKeys(const std::string& text);
 
-/// Validates every line of a JSONL file as a JSON object containing at
+/// Parses every line of a JSONL file as a JSON object containing at
 /// least `required_keys`; returns the number of rows. Empty trailing lines
 /// are ignored; a zero-row file is OK (callers decide whether that is an
 /// error).

@@ -3,14 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "fairmove/obs/jsonl.h"
+#include "fairmove/obs/knobs.h"
+#include "fairmove/obs/latency.h"
 
 namespace fairmove {
 
@@ -25,10 +25,7 @@ struct SpanNode {
 namespace {
 
 std::atomic<bool>& EnabledFlag() {
-  static std::atomic<bool> flag([] {
-    const char* v = std::getenv("FAIRMOVE_PROFILE");
-    return v != nullptr && std::strcmp(v, "1") == 0;
-  }());
+  static std::atomic<bool> flag(GetObsKnobs().profile);
   return flag;
 }
 
@@ -160,40 +157,40 @@ void Profiler::Reset() {
   }
 }
 
-ScopedSpan::ScopedSpan(const char* name) {
-  if (!Profiler::enabled()) return;
-  ThreadSpans& spans = LocalSpans();
-  parent_ = spans.current;
-  auto& slot = parent_->children[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<SpanNode>();
-    slot->name = name;
-  }
-  node_ = slot.get();
-  spans.current = node_;
-  start_ = std::chrono::steady_clock::now();
-}
+SpanSite::SpanSite(const char* span_name)
+    : name(span_name),
+      flight_name_id(FlightRecorder::InternName(span_name)),
+      latency(&LatencyRegistry::Get(span_name)) {}
 
-ScopedSpan::ScopedSpan(const char* name, uint16_t flight_name_id)
-    : ScopedSpan(name) {
-  // The enabled() result is latched so the end event is only recorded when
-  // the begin event was (toggling mid-span cannot unbalance the ring).
-  if (FlightRecorder::enabled()) {
-    flight_name_id_ = flight_name_id;
-    flight_ = true;
-    FlightRecorder::Record(kFlightSpanBegin, flight_name_id);
+ScopedSpan::ScopedSpan(const SpanSite& site) : site_(site) {
+  if (Profiler::enabled()) {
+    ThreadSpans& spans = LocalSpans();
+    parent_ = spans.current;
+    auto& slot = parent_->children[site.name];
+    if (slot == nullptr) {
+      slot = std::make_unique<SpanNode>();
+      slot->name = site.name;
+    }
+    node_ = slot.get();
+    spans.current = node_;
+  }
+  start_ns_ = FlightRecorder::NowNs();
+  // Latched so the end event is only recorded when the begin event was
+  // (toggling mid-span cannot unbalance the ring).
+  flight_ = FlightRecorder::enabled();
+  if (flight_) {
+    FlightRecorder::RecordAt(start_ns_, kFlightSpanBegin, site.flight_name_id);
   }
 }
 
 ScopedSpan::~ScopedSpan() {
+  const int64_t end_ns = FlightRecorder::NowNs();
+  const int64_t elapsed_ns = end_ns - start_ns_;
   if (flight_) {
-    FlightRecorder::Record(kFlightSpanEnd, flight_name_id_);
+    FlightRecorder::RecordAt(end_ns, kFlightSpanEnd, site_.flight_name_id);
   }
+  site_.latency->Record(elapsed_ns);
   if (node_ == nullptr) return;
-  const int64_t elapsed_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start_)
-          .count();
   node_->count += 1;
   node_->total_ns += elapsed_ns;
   node_->max_ns = std::max(node_->max_ns, elapsed_ns);

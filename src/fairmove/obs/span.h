@@ -1,7 +1,6 @@
 #ifndef FAIRMOVE_OBS_SPAN_H_
 #define FAIRMOVE_OBS_SPAN_H_
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -9,19 +8,19 @@
 
 namespace fairmove {
 
+class LatencyRecorder;
 struct SpanNode;
 
 /// Wall-clock profiler built from scoped spans. Each thread owns a private
-/// span tree (nodes keyed by span name, nested by dynamic scope), so taking
-/// a span costs two steady_clock reads and a map lookup with no
-/// synchronisation. Report time merges every thread's tree by name path and
-/// renders the aggregate with per-span count / total / max.
+/// span tree (nodes keyed by span name, nested by dynamic scope), so a
+/// profiled span adds an unsynchronised map lookup to the two clock reads
+/// every span takes. Report time merges every thread's tree by name path
+/// and renders the aggregate with per-span count / total / max.
 ///
-/// Disabled (the default) a span is a single relaxed atomic load; enable
-/// with FAIRMOVE_PROFILE=1 or SetEnabled(true). Reports are meant for run
-/// end — after parallel regions have completed, the pool's completion
-/// acquire/release gives the reporting thread a consistent view of worker
-/// trees.
+/// Off by default; enable with FAIRMOVE_PROFILE=1 or SetEnabled(true).
+/// Reports are meant for run end — after parallel regions have completed,
+/// the pool's completion acquire/release gives the reporting thread a
+/// consistent view of worker trees.
 class Profiler {
  public:
   static bool enabled();
@@ -38,39 +37,46 @@ class Profiler {
   static void Reset();
 };
 
-/// RAII timer for one dynamic scope. Use through FM_SPAN below.
-///
-/// The two-arg form (what FM_SPAN expands to) additionally records
-/// begin/end events into the always-on flight recorder under a
-/// site-interned name id, so the last moments before a crash or stall show
-/// the span structure even when the profiler is off.
+/// One FM_SPAN site, built once per site from a function-local static:
+/// the name plus its interned flight-recorder id and latency recorder.
+struct SpanSite {
+  explicit SpanSite(const char* span_name);
+  const char* name;  // persistent (in practice a literal)
+  uint16_t flight_name_id;
+  LatencyRecorder* latency;
+};
+
+/// RAII timer for one dynamic scope. Use through FM_SPAN below. It reads
+/// the clock once on entry and once on exit and feeds those two reads to
+/// every consumer: the profiler's span tree (when enabled), begin/end
+/// events in the flight recorder (when enabled, so the last moments before
+/// a crash or stall show the span structure), and the site's always-on
+/// LatencyRecorder (sliding-window tails for the metrics exporter).
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name);
-  ScopedSpan(const char* name, uint16_t flight_name_id);
+  explicit ScopedSpan(const SpanSite& site);
   ~ScopedSpan();
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
  private:
+  const SpanSite& site_;
   SpanNode* node_ = nullptr;
   SpanNode* parent_ = nullptr;
-  std::chrono::steady_clock::time_point start_;
-  uint16_t flight_name_id_ = 0;
+  int64_t start_ns_ = 0;
   bool flight_ = false;
 };
 
 #define FM_SPAN_CONCAT_INNER(a, b) a##b
 #define FM_SPAN_CONCAT(a, b) FM_SPAN_CONCAT_INNER(a, b)
-/// Times the enclosing scope under `name` in the profiler's span tree and
-/// records its begin/end in the flight recorder. `name` must be a
-/// persistent string (in practice a literal) — it is interned once.
-#define FM_SPAN(name)                                              \
-  static const uint16_t FM_SPAN_CONCAT(fm_span_id_, __LINE__) =    \
-      ::fairmove::FlightRecorder::InternName(name);                \
-  ::fairmove::ScopedSpan FM_SPAN_CONCAT(fm_span_, __LINE__)(       \
-      name, FM_SPAN_CONCAT(fm_span_id_, __LINE__))
+/// Times the enclosing scope under `name` (a string literal): profiler
+/// tree, flight-recorder begin/end, and the latency recorder `name`.
+#define FM_SPAN(name)                                                     \
+  static const ::fairmove::SpanSite FM_SPAN_CONCAT(fm_span_site_,         \
+                                                   __LINE__)(name);       \
+  ::fairmove::ScopedSpan FM_SPAN_CONCAT(fm_span_, __LINE__)(              \
+      FM_SPAN_CONCAT(fm_span_site_, __LINE__))
 
 }  // namespace fairmove
 

@@ -1,12 +1,13 @@
 #include "fairmove/obs/telemetry.h"
 
-#include <cstdlib>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 
 #include "fairmove/common/parallel.h"
 #include "fairmove/obs/exporter.h"
 #include "fairmove/obs/flight_recorder.h"
+#include "fairmove/obs/knobs.h"
 #include "fairmove/obs/latency.h"
 #include "fairmove/obs/metrics.h"
 #include "fairmove/obs/span.h"
@@ -48,34 +49,36 @@ std::string BuildTypeString() {
 }  // namespace
 
 Telemetry::Telemetry() {
-  const char* dir = std::getenv("FAIRMOVE_TELEMETRY");
-  if (dir != nullptr && dir[0] != '\0') {
-    const Status status = EnableAt(dir);
-    FM_CHECK(status.ok()) << "FAIRMOVE_TELEMETRY=" << dir << ": "
-                          << status.ToString();
+  const ObsKnobs& knobs = GetObsKnobs();
+  if (!knobs.telemetry_dir.empty()) {
+    const Status status = EnableAt(knobs.telemetry_dir);
+    FM_CHECK(status.ok()) << "FAIRMOVE_TELEMETRY=" << knobs.telemetry_dir
+                          << ": " << status.ToString();
   }
   // Live observability services. These run regardless of the telemetry
   // streams — a resident server wants export and crash capture without
   // per-slot JSONL — and are all strictly observational.
   ThreadPool::SetQueueWaitObserver(&RecordQueueWaitLatency);
-  MetricsExporter* exporter = MetricsExporter::StartFromEnv();
+  std::string export_dir;
+  if (knobs.metrics_export.has_value()) {
+    const StatusOr<MetricsExporter*> exporter =
+        MetricsExporter::Start(*knobs.metrics_export);
+    FM_CHECK(exporter.ok()) << "FAIRMOVE_METRICS_EXPORT: "
+                            << exporter.status().ToString();
+    export_dir = (*exporter)->dir();
+  }
   // Crash dumps land in the most specific directory configured:
   // FAIRMOVE_FLIGHT_DUMP_DIR > telemetry dir > export dir.
-  std::string dump_dir;
-  if (const char* fd = std::getenv("FAIRMOVE_FLIGHT_DUMP_DIR");
-      fd != nullptr && fd[0] != '\0') {
-    dump_dir = fd;
-  } else if (enabled_) {
-    dump_dir = dir_;
-  } else if (exporter != nullptr) {
-    dump_dir = exporter->dir();
-  }
+  std::string dump_dir = knobs.flight_dump_dir;
+  if (dump_dir.empty()) dump_dir = enabled_ ? dir_ : export_dir;
   if (!dump_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(dump_dir, ec);
     if (!ec) FlightRecorder::SetCrashDumpDir(dump_dir);
   }
-  StallWatchdog::StartFromEnv(dump_dir.empty() ? "." : dump_dir);
+  if (knobs.stall_ms > 0) {
+    StallWatchdog::Start(knobs.stall_ms, dump_dir.empty() ? "." : dump_dir);
+  }
 }
 
 Status Telemetry::EnableAt(const std::string& dir) {
@@ -130,6 +133,28 @@ void Telemetry::DisableForTesting() {
   pool_.Close();
   manifest_ = RunManifest();
   ThreadPool::SetTimingEnabled(false);
+}
+
+void FinalizeObservability() {
+  // A profiling-only run must not construct the hub (and its services) at
+  // exit, so the hub is consulted only when telemetry was asked for.
+  if (!GetObsKnobs().telemetry_dir.empty() && Telemetry::Get().enabled()) {
+    Telemetry& telemetry = Telemetry::Get();
+    const PoolStats stats = GlobalPool().stats();
+    JsonObject row;
+    row.Set("kind", "pool")
+        .Set("threads", GlobalPool().num_threads())
+        .Set("regions", stats.regions)
+        .Set("tasks", stats.tasks)
+        .Set("queue_wait_ns_total", stats.queue_wait_ns_total)
+        .Set("queue_wait_ns_max", stats.queue_wait_ns_max);
+    telemetry.pool_stream().Write(row);
+    telemetry.Finalize();
+  }
+  if (Profiler::enabled()) {
+    const std::string tree = Profiler::ReportText();
+    if (!tree.empty()) std::fputs(tree.c_str(), stdout);
+  }
 }
 
 Telemetry& Telemetry::Get() {

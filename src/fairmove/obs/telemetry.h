@@ -9,7 +9,9 @@
 
 namespace fairmove {
 
-/// Process-wide telemetry hub, gated by FAIRMOVE_TELEMETRY=<dir>.
+/// Process-wide telemetry hub, gated by FAIRMOVE_TELEMETRY=<dir>. Its
+/// construction also starts the live services the other obs knobs ask
+/// for: the metrics exporter, crash-dump capture and the stall watchdog.
 ///
 /// When the variable is unset, enabled() is false and every hook in the
 /// instrumented layers reduces to a branch on that flag — no allocation, no
@@ -20,7 +22,7 @@ namespace fairmove {
 ///   training.jsonl — one row per training/eval episode from Trainer
 ///   sim.jsonl      — one row per slot from the labelled Simulator, plus
 ///                    structured fault-event rows
-///   pool.jsonl     — thread-pool health snapshots from bench_common
+///   pool.jsonl     — thread-pool health snapshots (FinalizeObservability)
 ///
 /// Rows carry their own identity keys (kind / method / slot / episode):
 /// concurrent writers interleave nondeterministically in file order, but
@@ -61,6 +63,12 @@ class Telemetry {
   JsonlWriter pool_;
   RunManifest manifest_;
 };
+
+/// Run-end hook, registered with atexit by GetObsKnobs() (obs/knobs.h)
+/// when telemetry or profiling is on: appends a final pool-health row and
+/// Finalize()s the hub when telemetry is enabled, and prints the span tree
+/// to stdout when profiling.
+void FinalizeObservability();
 
 }  // namespace fairmove
 

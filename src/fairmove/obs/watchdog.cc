@@ -8,7 +8,6 @@
 #include <mutex>
 #include <thread>
 
-#include "fairmove/common/config.h"
 #include "fairmove/common/macros.h"
 #include "fairmove/obs/flight_recorder.h"
 #include "fairmove/obs/jsonl.h"
@@ -18,9 +17,6 @@
 namespace fairmove {
 
 namespace {
-
-constexpr int64_t kMinBudgetMs = 100;
-constexpr int64_t kMaxBudgetMs = 3600000;
 
 std::atomic<uint64_t> g_heartbeats{0};
 std::atomic<int64_t> g_stalls{0};
@@ -95,16 +91,6 @@ void MonitorLoop() {
 }
 
 }  // namespace
-
-void StallWatchdog::StartFromEnv(const std::string& dump_dir) {
-  const char* v = std::getenv("FAIRMOVE_STALL_MS");
-  if (v == nullptr || v[0] == '\0') return;
-  const StatusOr<int64_t> parsed = ParseInt(v);
-  FM_CHECK(parsed.ok() && *parsed >= kMinBudgetMs && *parsed <= kMaxBudgetMs)
-      << "FAIRMOVE_STALL_MS must be an integer in [" << kMinBudgetMs << ", "
-      << kMaxBudgetMs << "], got '" << v << "'";
-  Start(*parsed, dump_dir);
-}
 
 void StallWatchdog::Start(int64_t budget_ms, const std::string& dump_dir) {
   FM_CHECK(budget_ms >= kMinBudgetMs && budget_ms <= kMaxBudgetMs)

@@ -23,12 +23,12 @@ namespace fairmove {
 /// increment per Heartbeat().
 class StallWatchdog {
  public:
-  /// Starts the monitor from FAIRMOVE_STALL_MS (budget, [100, 3600000]);
-  /// no-op when unset, aborts on a malformed value. `dump_dir` receives
-  /// flight_stall.fmfr.
-  static void StartFromEnv(const std::string& dump_dir);
+  /// Budget bounds, in ms (FAIRMOVE_STALL_MS).
+  static constexpr int64_t kMinBudgetMs = 100;
+  static constexpr int64_t kMaxBudgetMs = 3600000;
 
-  /// Starts the monitor explicitly (tests). Idempotent while running —
+  /// Starts the monitor (the telemetry hub does so for FAIRMOVE_STALL_MS);
+  /// `dump_dir` receives flight_stall.fmfr. Idempotent while running —
   /// Stop() first to reconfigure.
   static void Start(int64_t budget_ms, const std::string& dump_dir);
 

@@ -177,8 +177,6 @@ class EnvOverridesTest : public ::testing::Test {
     unsetenv("FAIRMOVE_SEED");
     unsetenv("FAIRMOVE_DAYS");
     unsetenv("FAIRMOVE_THREADS");
-    unsetenv("FAIRMOVE_TELEMETRY");
-    unsetenv("FAIRMOVE_PROFILE");
   }
 };
 
@@ -246,31 +244,6 @@ TEST_F(EnvOverridesTest, RejectsOutOfRangeThreads) {
   setenv("FAIRMOVE_THREADS", "8", 1);
   ASSERT_TRUE(env.LoadFromEnv().ok());
   EXPECT_EQ(env.threads, 8);
-}
-
-TEST_F(EnvOverridesTest, RejectsEmptyTelemetryDir) {
-  setenv("FAIRMOVE_TELEMETRY", "", 1);
-  EnvOverrides env;
-  const Status s = env.LoadFromEnv();
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.ToString().find("FAIRMOVE_TELEMETRY"), std::string::npos);
-  setenv("FAIRMOVE_TELEMETRY", "/tmp/fairmove-telemetry", 1);
-  ASSERT_TRUE(env.LoadFromEnv().ok());
-  EXPECT_EQ(env.telemetry_dir, "/tmp/fairmove-telemetry");
-}
-
-TEST_F(EnvOverridesTest, ProfileMustBeZeroOrOne) {
-  EnvOverrides env;
-  setenv("FAIRMOVE_PROFILE", "yes", 1);
-  EXPECT_FALSE(env.LoadFromEnv().ok());
-  setenv("FAIRMOVE_PROFILE", "2", 1);
-  EXPECT_FALSE(env.LoadFromEnv().ok());
-  setenv("FAIRMOVE_PROFILE", "1", 1);
-  ASSERT_TRUE(env.LoadFromEnv().ok());
-  EXPECT_TRUE(env.profile);
-  setenv("FAIRMOVE_PROFILE", "0", 1);
-  ASSERT_TRUE(env.LoadFromEnv().ok());
-  EXPECT_FALSE(env.profile);
 }
 
 }  // namespace

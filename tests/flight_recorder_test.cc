@@ -1,8 +1,9 @@
 // Live observability: the always-on flight recorder (ring wrap, interning,
 // FMFR1 dump round-trip + CRC rejection), log-bucketed latency histograms
-// with epoch-rotated sliding windows, the periodic metrics exporter and its
-// artefacts, Chrome/Perfetto trace conversion with balance guarantees, the
-// stall watchdog, and — via real forked children — that an aborted or
+// with epoch-rotated sliding windows, FM_SPAN feeding both from one pair of
+// clock reads, the periodic metrics exporter and its artefacts,
+// Chrome/Perfetto trace conversion with balance guarantees, the stall
+// watchdog, and — via real forked children — that an aborted or
 // SIGKILLed process still leaves a parseable flight dump behind.
 
 #include <gtest/gtest.h>
@@ -28,6 +29,7 @@
 #include "fairmove/obs/json_parse.h"
 #include "fairmove/obs/jsonl.h"
 #include "fairmove/obs/latency.h"
+#include "fairmove/obs/span.h"
 #include "fairmove/obs/telemetry.h"
 #include "fairmove/obs/trace.h"
 #include "fairmove/obs/watchdog.h"
@@ -261,8 +263,37 @@ TEST(LatencyRegistryTest, GetInternsOneRecorderPerName) {
     if (recorder == &a) found = true;
   }
   EXPECT_TRUE(found);
-  { FM_LATENCY_SCOPE("registry.scoped"); }
+  { FM_SPAN("registry.scoped"); }
   EXPECT_GE(LatencyRegistry::Get("registry.scoped").Cumulative().count, 1);
+}
+
+// The one scoped timer: a span's two clock reads feed the flight ring's
+// begin/end events and the latency recorder named after it, so the
+// recorded duration is exactly the distance between the two events.
+TEST(ScopedSpanTest, FlightEventsAndLatencyShareTheTwoClockReads) {
+  FlightRecorder::SetEnabled(true);
+  FlightRecorder::ResetForTesting();
+  { FM_SPAN("span.shared_clock"); }
+  const LogHistogram::Snapshot latency =
+      LatencyRegistry::Get("span.shared_clock").Cumulative();
+  ASSERT_EQ(latency.count, 1);
+
+  const StatusOr<FlightDump> dump =
+      ParseFlightDump(FlightRecorder::SerializeDump());
+  ASSERT_TRUE(dump.ok()) << dump.status().ToString();
+  std::vector<FlightEvent> events;
+  for (const FlightDumpRing& ring : dump->rings) {
+    for (const FlightEvent& event : ring.events) {
+      if (static_cast<size_t>(event.name_id) < dump->names.size() &&
+          dump->names[event.name_id] == "span.shared_clock") {
+        events.push_back(event);
+      }
+    }
+  }
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].kind, kFlightSpanBegin);
+  EXPECT_EQ(events[1].kind, kFlightSpanEnd);
+  EXPECT_EQ(events[1].t_ns - events[0].t_ns, latency.sum);
 }
 
 // ------------------------------------------------------------- exporter ---
@@ -281,6 +312,27 @@ TEST(ExporterTest, ParseExportSpecAcceptsDirColonPeriod) {
   EXPECT_FALSE(ParseExportSpec(":100").ok());
   EXPECT_FALSE(ParseExportSpec("/tmp/x:5").ok());       // below minimum
   EXPECT_FALSE(ParseExportSpec("/tmp/x:abc").ok());
+}
+
+TEST(ExporterTest, StartReturnsTheRunningExporter) {
+  const std::string dir = TempSubdir("exporter_once");
+  const std::string other = TempSubdir("exporter_other");
+  const StatusOr<MetricsExporter*> first =
+      MetricsExporter::Start({.dir = dir, .period_ms = 3600000});
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const StatusOr<MetricsExporter*> second =
+      MetricsExporter::Start({.dir = other, .period_ms = 50});
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(*first, *second);
+  EXPECT_EQ((*second)->dir(), dir);  // the running exporter's options win
+  (*first)->Stop();
+  // Once stopped, the same instance restarts on the new options.
+  const StatusOr<MetricsExporter*> third =
+      MetricsExporter::Start({.dir = other, .period_ms = 3600000});
+  ASSERT_TRUE(third.ok()) << third.status().ToString();
+  EXPECT_EQ(*third, *first);
+  EXPECT_EQ((*third)->dir(), other);
+  (*third)->Stop();
 }
 
 TEST(ExporterTest, PrometheusNameSanitises) {

@@ -1,18 +1,16 @@
-// Observability layer: JSON building/validation, the P² estimator, fixed-
-// bucket histograms, the sharded metrics registry (including its merge
-// determinism under the thread pool), scoped profiling spans, the telemetry
-// hub, and — the load-bearing guarantee — that enabling telemetry changes
-// no simulation output byte.
+// Observability layer: JSON building/validation, the counters registry,
+// the obs-knob parser, scoped profiling spans, the telemetry hub, and — the
+// load-bearing guarantee — that enabling telemetry changes no simulation
+// output byte.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fairmove/common/parallel.h"
@@ -20,6 +18,7 @@
 #include "fairmove/core/metrics.h"
 #include "fairmove/obs/json_parse.h"
 #include "fairmove/obs/jsonl.h"
+#include "fairmove/obs/knobs.h"
 #include "fairmove/obs/manifest.h"
 #include "fairmove/obs/metrics.h"
 #include "fairmove/obs/span.h"
@@ -148,220 +147,116 @@ TEST(JsonTest, JsonlWriterRoundTripsThroughValidator) {
   EXPECT_FALSE(ValidateJsonlFile(dir + "/nope.jsonl", {}).ok());
 }
 
-// ------------------------------------------------------------ P2Quantile --
-
-TEST(P2QuantileTest, ExactForFewerThanFiveSamples) {
-  P2Quantile median(0.5);
-  median.Add(10.0);
-  EXPECT_DOUBLE_EQ(median.Get(), 10.0);
-  median.Add(20.0);
-  median.Add(0.0);
-  // Sorted {0, 10, 20} -> median 10.
-  EXPECT_DOUBLE_EQ(median.Get(), 10.0);
-}
-
-TEST(P2QuantileTest, ConvergesOnUniformStream) {
-  P2Quantile p90(0.9);
-  // Deterministic LCG keeps the test hermetic (no std::rand).
-  uint64_t state = 12345;
-  for (int i = 0; i < 20000; ++i) {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    p90.Add(static_cast<double>(state >> 11) /
-            static_cast<double>(1ULL << 53));
-  }
-  EXPECT_NEAR(p90.Get(), 0.9, 0.02);
-}
-
-TEST(P2QuantileTest, NonFiniteSamplesAreCountedNotIngested) {
-  P2Quantile median(0.5);
-  median.Add(1.0);
-  median.Add(2.0);
-  median.Add(3.0);
-  const double before = median.Get();
-  median.Add(std::numeric_limits<double>::quiet_NaN());
-  median.Add(std::numeric_limits<double>::infinity());
-  median.Add(-std::numeric_limits<double>::infinity());
-  EXPECT_EQ(median.count(), 3);  // finite observations only
-  EXPECT_EQ(median.non_finite_count(), 3);
-  EXPECT_DOUBLE_EQ(median.Get(), before);  // estimate stays unpoisoned
-  EXPECT_TRUE(std::isfinite(median.Get()));
-  // Still ingests fine afterwards.
-  median.Add(4.0);
-  median.Add(5.0);
-  EXPECT_EQ(median.count(), 5);
-  EXPECT_TRUE(std::isfinite(median.Get()));
-}
-
-TEST(P2QuantileTest, DuplicateHeavyStreamStaysOnTheValue) {
-  P2Quantile p99(0.99);
-  for (int i = 0; i < 1000; ++i) p99.Add(0.5);
-  EXPECT_DOUBLE_EQ(p99.Get(), 0.5);
-  // A lone outlier in a sea of duplicates must not drag the estimate far.
-  p99.Add(100.0);
-  for (int i = 0; i < 1000; ++i) p99.Add(0.5);
-  EXPECT_NEAR(p99.Get(), 0.5, 1.0);
-}
-
-// ------------------------------------------------------------- Histogram --
-
-TEST(HistogramDataTest, MergeIsOrderInvariant) {
-  HistogramData a, b, merged_ab, merged_ba;
-  a.Init(0.0, 10.0, 10);
-  b.Init(0.0, 10.0, 10);
-  for (double v : {0.5, 3.2, 9.9, -1.0}) a.Observe(v);   // -1 clamps low
-  for (double v : {5.5, 7.7, 42.0}) b.Observe(v);        // 42 clamps high
-  merged_ab.Init(0.0, 10.0, 10);
-  merged_ab.Merge(a);
-  merged_ab.Merge(b);
-  merged_ba.Init(0.0, 10.0, 10);
-  merged_ba.Merge(b);
-  merged_ba.Merge(a);
-  EXPECT_EQ(merged_ab.count, 7);
-  EXPECT_EQ(merged_ab.buckets, merged_ba.buckets);
-  EXPECT_DOUBLE_EQ(merged_ab.min, -1.0);
-  EXPECT_DOUBLE_EQ(merged_ab.max, 42.0);
-  EXPECT_DOUBLE_EQ(merged_ab.sum, merged_ba.sum);
-}
-
-TEST(HistogramDataTest, QuantileInterpolatesAndClampsToObservedRange) {
-  HistogramData h;
-  h.Init(0.0, 100.0, 10);
-  for (int i = 1; i <= 100; ++i) h.Observe(static_cast<double>(i));
-  EXPECT_NEAR(h.Quantile(0.5), 50.0, 10.0);
-  EXPECT_GE(h.Quantile(0.0), h.min);
-  EXPECT_LE(h.Quantile(1.0), h.max);
-  HistogramData empty;
-  empty.Init(0.0, 1.0, 4);
-  EXPECT_DOUBLE_EQ(empty.Quantile(0.5), 0.0);
-}
-
-TEST(HistogramDataTest, LogScaleCountsSaturationAndNonFinite) {
-  HistogramData h;
-  h.InitLog(1e3, 1e9, 60);
-  EXPECT_TRUE(h.log_scale);
-  h.Observe(5e4);
-  h.Observe(5e5);
-  h.Observe(5e6);
-  h.Observe(2e9);  // above hi: clamped into the top bucket AND counted
-  h.Observe(std::numeric_limits<double>::quiet_NaN());  // lands in no bucket
-  EXPECT_EQ(h.count, 4);
-  EXPECT_EQ(h.saturated_count, 1);
-  EXPECT_EQ(h.non_finite_count, 1);
-  EXPECT_DOUBLE_EQ(h.max, 2e9);
-  // Geometric buckets keep relative resolution: the p50 of three decade-
-  // spread samples plus one outlier sits near the 5e5 sample, which a
-  // 60-bucket LINEAR histogram over [1e3, 1e9] could not resolve at all
-  // (its first bucket alone spans ~1.7e7).
-  EXPECT_NEAR(h.Quantile(0.5) / 5e5, 1.0, 0.6);
-}
-
-TEST(MetricsRegistryTest, RegisterLogHistogramRoundTripsJsonAndShards) {
-  MetricsRegistry registry;
-  registry.RegisterLogHistogram("step_ns", 1e3, 1e10, 70);
-  registry.Observe("step_ns", 4e6);
-  registry.Observe("step_ns", 5e10);  // saturates
-  const auto snapshot = registry.GetSnapshot();
-  EXPECT_TRUE(snapshot.histograms.at("step_ns").log_scale);
-  EXPECT_EQ(snapshot.histograms.at("step_ns").count, 2);
-  EXPECT_EQ(snapshot.histograms.at("step_ns").saturated_count, 1);
-
-  // The JSON export carries the defect counters and scale flag.
-  const std::string json = registry.ToJson();
-  EXPECT_TRUE(ValidateJson(json).ok()) << json;
-  EXPECT_NE(json.find("\"log_scale\":true"), std::string::npos);
-  EXPECT_NE(json.find("\"saturated_count\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"non_finite_count\":0"), std::string::npos);
-
-  // Shards inherit the registered log layout, so sharded == direct.
-  MetricsRegistry direct;
-  direct.RegisterLogHistogram("v", 1e3, 1e9, 60);
-  MetricsRegistry sharded;
-  sharded.RegisterLogHistogram("v", 1e3, 1e9, 60);
-  std::vector<MetricShard> shards;
-  for (int i = 0; i < 3; ++i) shards.push_back(sharded.MakeShard());
-  const double values[] = {2e3, 7e5, 3e8, 5e9};
-  for (int i = 0; i < 4; ++i) {
-    shards[static_cast<size_t>(i % 3)].Observe("v", values[i]);
-    direct.Observe("v", values[i]);
-  }
-  for (const MetricShard& shard : shards) sharded.MergeShard(shard);
-  EXPECT_EQ(sharded.ToJson(), direct.ToJson());
-}
-
 // -------------------------------------------------------------- Registry --
 
-TEST(MetricsRegistryTest, CountersGaugesHistogramsSnapshotAndJson) {
+TEST(MetricsRegistryTest, CountersSnapshotAndJson) {
   MetricsRegistry registry;
   registry.Count("events");
   registry.Count("events", 4);
-  registry.SetGauge("temperature", 21.5);
-  registry.RegisterHistogram("latency", 0.0, 10.0, 5);
-  registry.Observe("latency", 3.0);
-  registry.Observe("latency", 7.0);
-
-  const auto snapshot = registry.GetSnapshot();
-  EXPECT_EQ(snapshot.counters.at("events"), 5);
-  EXPECT_DOUBLE_EQ(snapshot.gauges.at("temperature"), 21.5);
-  EXPECT_EQ(snapshot.histograms.at("latency").count, 2);
+  registry.Count("other");
+  EXPECT_EQ(registry.Counters().at("events"), 5);
 
   const std::string json = registry.ToJson();
-  EXPECT_TRUE(ValidateJson(json).ok()) << json;
+  EXPECT_EQ(json, "{\"counters\":{\"events\":5,\"other\":1}}");
   const auto keys = std::move(JsonObjectKeys(json)).value();
-  EXPECT_EQ(keys,
-            (std::vector<std::string>{"counters", "gauges", "histograms"}));
+  EXPECT_EQ(keys, (std::vector<std::string>{"counters"}));
 
   registry.Reset();
-  EXPECT_TRUE(registry.GetSnapshot().counters.empty());
+  EXPECT_TRUE(registry.Counters().empty());
 }
 
-TEST(MetricsRegistryTest, ShardMergeMatchesDirectUpdates) {
-  MetricsRegistry direct;
-  MetricsRegistry sharded;
-  sharded.RegisterHistogram("v", 0.0, 100.0, 20);
-  direct.RegisterHistogram("v", 0.0, 100.0, 20);
-  std::vector<MetricShard> shards;
-  for (int i = 0; i < 4; ++i) shards.push_back(sharded.MakeShard());
-  for (int i = 0; i < 4; ++i) {
-    shards[static_cast<size_t>(i)].Count("n", i + 1);
-    shards[static_cast<size_t>(i)].Observe("v", 10.0 * i);
-    direct.Count("n", i + 1);
-    direct.Observe("v", 10.0 * i);
-  }
-  for (const MetricShard& shard : shards) sharded.MergeShard(shard);
-  EXPECT_EQ(sharded.ToJson(), direct.ToJson());
-}
+// ----------------------------------------------------------------- Knobs --
 
-// The determinism contract applied to metrics: per-task shards merged in
-// ascending task index produce byte-identical registry JSON at any thread
-// count, exactly like every other parallel reduction in the library.
-TEST(MetricsRegistryTest, ShardedParallelForIsThreadCountInvariant) {
-  constexpr int64_t kTasks = 64;
-  auto run = [](int threads) {
-    SetGlobalThreads(threads);
-    MetricsRegistry registry;
-    registry.RegisterHistogram("work/value", 0.0, 1000.0, 25);
-    std::vector<MetricShard> shards;
-    shards.reserve(kTasks);
-    for (int64_t i = 0; i < kTasks; ++i) {
-      shards.push_back(registry.MakeShard());
+/// ParseObsKnobs over a fixed name -> value table (nullptr = unset).
+StatusOr<ObsKnobs> ParseKnobs(
+    const std::vector<std::pair<std::string, std::string>>& env) {
+  return ParseObsKnobs([&](const char* name) -> const char* {
+    for (const auto& [key, value] : env) {
+      if (key == name) return value.c_str();
     }
-    GlobalPool().ParallelFor(kTasks, [&](int64_t i) {
-      MetricShard& shard = shards[static_cast<size_t>(i)];
-      shard.Count("work/tasks");
-      shard.Count("work/units", i);
-      // Non-commutative-looking doubles: ordered merge must still be stable.
-      shard.Observe("work/value", 0.1 * static_cast<double>(i * i));
-    });
-    for (const MetricShard& shard : shards) registry.MergeShard(shard);
-    return registry.ToJson();
-  };
-  const std::string serial = run(1);
-  const std::string four = run(4);
-  const std::string three = run(3);
-  SetGlobalThreads(1);
-  EXPECT_EQ(serial, four);
-  EXPECT_EQ(serial, three);
-  EXPECT_TRUE(ValidateJson(serial).ok());
+    return nullptr;
+  });
+}
+
+TEST(ObsKnobsTest, UnsetKnobsKeepDefaultsAndSetOnesParse) {
+  const ObsKnobs defaults = std::move(ParseKnobs({})).value();
+  EXPECT_TRUE(defaults.telemetry_dir.empty());
+  EXPECT_FALSE(defaults.profile);
+  EXPECT_FALSE(defaults.metrics_export.has_value());
+  EXPECT_EQ(defaults.stall_ms, 0);
+  EXPECT_TRUE(defaults.flight);
+  EXPECT_EQ(defaults.flight_events, 4096);
+  EXPECT_TRUE(defaults.flight_dump_dir.empty());
+
+  const ObsKnobs knobs =
+      std::move(ParseKnobs({{"FAIRMOVE_TELEMETRY", "/tmp/t"},
+                            {"FAIRMOVE_PROFILE", "1"},
+                            {"FAIRMOVE_METRICS_EXPORT", "/tmp/a:b:250"},
+                            {"FAIRMOVE_STALL_MS", "2000"},
+                            {"FAIRMOVE_FLIGHT", "0"},
+                            {"FAIRMOVE_FLIGHT_EVENTS", "1000"},
+                            {"FAIRMOVE_FLIGHT_DUMP_DIR", "/tmp/d"}}))
+          .value();
+  EXPECT_EQ(knobs.telemetry_dir, "/tmp/t");
+  EXPECT_TRUE(knobs.profile);
+  ASSERT_TRUE(knobs.metrics_export.has_value());
+  EXPECT_EQ(knobs.metrics_export->dir, "/tmp/a:b");
+  EXPECT_EQ(knobs.metrics_export->period_ms, 250);
+  EXPECT_EQ(knobs.stall_ms, 2000);
+  EXPECT_FALSE(knobs.flight);
+  EXPECT_EQ(knobs.flight_events, 1000);
+  EXPECT_EQ(knobs.flight_dump_dir, "/tmp/d");
+}
+
+TEST(ObsKnobsTest, RejectsEmptyTelemetryDir) {
+  const StatusOr<ObsKnobs> empty = ParseKnobs({{"FAIRMOVE_TELEMETRY", ""}});
+  ASSERT_FALSE(empty.ok());
+  EXPECT_NE(empty.status().ToString().find("FAIRMOVE_TELEMETRY"),
+            std::string::npos);
+  EXPECT_EQ(std::move(ParseKnobs({{"FAIRMOVE_TELEMETRY", "/tmp/fm-t"}}))
+                .value()
+                .telemetry_dir,
+            "/tmp/fm-t");
+}
+
+TEST(ObsKnobsTest, ProfileMustBeZeroOrOne) {
+  for (const char* bad : {"yes", "2", "on", " 1"}) {
+    const StatusOr<ObsKnobs> knobs = ParseKnobs({{"FAIRMOVE_PROFILE", bad}});
+    ASSERT_FALSE(knobs.ok()) << bad;
+    EXPECT_NE(knobs.status().ToString().find("FAIRMOVE_PROFILE"),
+              std::string::npos);
+  }
+  EXPECT_TRUE(
+      std::move(ParseKnobs({{"FAIRMOVE_PROFILE", "1"}})).value().profile);
+  EXPECT_FALSE(
+      std::move(ParseKnobs({{"FAIRMOVE_PROFILE", "0"}})).value().profile);
+}
+
+TEST(ObsKnobsTest, FlightMustBeZeroOrOne) {
+  const StatusOr<ObsKnobs> maybe = ParseKnobs({{"FAIRMOVE_FLIGHT", "maybe"}});
+  ASSERT_FALSE(maybe.ok());
+  EXPECT_NE(maybe.status().ToString().find("FAIRMOVE_FLIGHT"),
+            std::string::npos);
+  EXPECT_TRUE(std::move(ParseKnobs({{"FAIRMOVE_FLIGHT", "1"}})).value().flight);
+}
+
+TEST(ObsKnobsTest, RejectsOutOfRangeAndMalformedNumbers) {
+  for (const auto& [name, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"FAIRMOVE_STALL_MS", "99"},
+           {"FAIRMOVE_STALL_MS", "3600001"},
+           {"FAIRMOVE_STALL_MS", "soon"},
+           {"FAIRMOVE_FLIGHT_EVENTS", "255"},
+           {"FAIRMOVE_FLIGHT_EVENTS", "1048577"},
+           {"FAIRMOVE_METRICS_EXPORT", "/tmp/x"},
+           {"FAIRMOVE_METRICS_EXPORT", "/tmp/x:5"},
+           {"FAIRMOVE_METRICS_EXPORT", ""},
+           {"FAIRMOVE_FLIGHT_DUMP_DIR", ""}}) {
+    const StatusOr<ObsKnobs> knobs = ParseKnobs({{name, value}});
+    ASSERT_FALSE(knobs.ok()) << name << "=" << value;
+    EXPECT_NE(knobs.status().ToString().find(name), std::string::npos)
+        << knobs.status().ToString();
+  }
 }
 
 TEST(PoolStatsTest, CountersMoveOnlyOnParallelBranch) {
