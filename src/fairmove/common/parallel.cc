@@ -1,11 +1,11 @@
 #include "fairmove/common/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <limits>
-#include <memory>
 
 #include "fairmove/common/config.h"
 
@@ -57,32 +57,33 @@ void ThreadPool::RecordQueueWait(int64_t wait_ns) {
   }
 }
 
-/// Shared state of one ParallelFor region. Lives on the heap behind a
-/// shared_ptr because helper tasks may be dequeued after the owning call
-/// already returned (they then find the work exhausted and exit without
-/// touching `fn`).
-struct ThreadPool::ForState {
-  ForState(int64_t total, const std::function<void(int64_t)>* f)
-      : n(total), fn(f) {}
+/// One ParallelFor region. Lives on the caller's stack and is reachable by
+/// workers only while linked into the pool's open list. The caller unlinks
+/// it and then waits until no worker is inside, so no worker touches it once
+/// the call is over.
+struct ThreadPool::Region {
+  /// `joined` bit set once the caller waits for the workers inside.
+  static constexpr int64_t kCallerWaiting = int64_t{1} << 32;
 
-  const int64_t n;
-  /// Owned by the caller's frame; dangles once ParallelFor returns. Only
-  /// dereferenced after a successful index claim, which is impossible once
-  /// all indices are claimed — and ParallelFor only returns after all
-  /// claimed indices are done.
-  const std::function<void(int64_t)>* const fn;
+  const std::function<void(int64_t)>* fn = nullptr;
+  int64_t n = 0;
   std::atomic<int64_t> next{0};
-  std::atomic<int64_t> done{0};
-  std::mutex mu;
-  std::condition_variable cv;
+  /// Workers inside (low bits) plus kCallerWaiting. Incremented only under
+  /// the pool mutex while linked; a worker's decrement is its last access,
+  /// and releases its task writes to the caller.
+  std::atomic<int64_t> joined{0};
+  /// When the region was opened; 0 while queue-wait timing is off.
+  int64_t open_ns = 0;
+  // Guarded by the pool mutex.
+  Region* prev_open = nullptr;
+  Region* next_open = nullptr;
   int64_t error_index = std::numeric_limits<int64_t>::max();
   std::exception_ptr error;
 
-  /// Claims and runs indices until none are left.
-  void RunChunks() {
-    for (;;) {
-      const int64_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
+  /// Runs the already-claimed index `i`, then claims and runs indices until
+  /// none are left. `mu` guards the error slot.
+  void RunFrom(int64_t i, std::mutex& mu) {
+    for (; i < n; i = next.fetch_add(1, std::memory_order_relaxed)) {
       try {
         (*fn)(i);
       } catch (...) {
@@ -91,12 +92,6 @@ struct ThreadPool::ForState {
           error_index = i;
           error = std::current_exception();
         }
-      }
-      // acq_rel so the caller's acquire read of `done` publishes every
-      // task's writes to its output slot.
-      if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_all();
       }
     }
   }
@@ -115,21 +110,44 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
   }
-  cv_.notify_all();
+  work_cv_.notify_all();
   for (std::thread& w : workers_) w.join();
 }
 
+ThreadPool::Region* ThreadPool::FindOpenRegion() const {
+  for (Region* r = open_head_; r != nullptr; r = r->next_open) {
+    if (r->next.load(std::memory_order_relaxed) < r->n) return r;
+  }
+  return nullptr;
+}
+
 void ThreadPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // shutdown requested and queue drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
+    Region* region = nullptr;
+    work_cv_.wait(lock, [&] {
+      return shutdown_ || (region = FindOpenRegion()) != nullptr;
+    });
+    if (shutdown_) return;
+    // Claim the first index before joining, so `joined` only counts
+    // workers with work and the caller never waits on one that has none.
+    const int64_t first = region->next.fetch_add(1, std::memory_order_relaxed);
+    if (first >= region->n) continue;
+    region->joined.fetch_add(1, std::memory_order_relaxed);
+    lock.unlock();
+    if (region->open_ns != 0) RecordQueueWait(NowNs() - region->open_ns);
+    region->RunFrom(first, mu_);
+    const bool wake_caller =
+        region->joined.fetch_sub(1, std::memory_order_acq_rel) ==
+        (Region::kCallerWaiting | 1);
+    lock.lock();
+    if (wake_caller) {
+      // Taking the mutex first means the caller is either asleep or yet to
+      // test its predicate; notify unlocked so it wakes to a free mutex.
+      lock.unlock();
+      idle_cv_.notify_all();
+      lock.lock();
     }
-    task();
   }
 }
 
@@ -143,32 +161,43 @@ void ThreadPool::ParallelFor(int64_t n,
   }
   regions_.fetch_add(1, std::memory_order_relaxed);
   tasks_.fetch_add(n, std::memory_order_relaxed);
-  auto state = std::make_shared<ForState>(n, &fn);
-  // At most n - 1 helpers; the caller is the remaining lane. Helpers that
-  // run after the work is exhausted claim nothing and exit immediately.
-  const int64_t helpers = std::min<int64_t>(num_threads_ - 1, n - 1);
-  const bool timing = TimingEnabled();
-  const int64_t enqueue_ns = timing ? NowNs() : 0;
+  Region region;
+  region.fn = &fn;
+  region.n = n;
+  if (TimingEnabled()) region.open_ns = NowNs();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (int64_t h = 0; h < helpers; ++h) {
-      if (timing) {
-        queue_.emplace_back([this, state, enqueue_ns] {
-          RecordQueueWait(NowNs() - enqueue_ns);
-          state->RunChunks();
-        });
-      } else {
-        queue_.emplace_back([state] { state->RunChunks(); });
-      }
-    }
+    region.prev_open = open_tail_;
+    (open_tail_ != nullptr ? open_tail_->next_open : open_head_) = &region;
+    open_tail_ = &region;
   }
-  cv_.notify_all();
-  state->RunChunks();
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait(lock, [&] {
-    return state->done.load(std::memory_order_acquire) == n;
-  });
-  if (state->error) std::rethrow_exception(state->error);
+  // At most n - 1 helpers; the caller is the remaining lane. A woken worker
+  // that finds the indices already claimed goes back to sleep.
+  const int64_t helpers = std::min<int64_t>(num_threads_ - 1, n - 1);
+  if (helpers == num_threads_ - 1) {
+    work_cv_.notify_all();
+  } else {
+    for (int64_t h = 0; h < helpers; ++h) work_cv_.notify_one();
+  }
+  region.RunFrom(region.next.fetch_add(1, std::memory_order_relaxed), mu_);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    (region.prev_open != nullptr ? region.prev_open->next_open : open_head_) =
+        region.next_open;
+    (region.next_open != nullptr ? region.next_open->prev_open : open_tail_) =
+        region.prev_open;
+  }
+  // Unlinked, so no worker joins any more; wait out the ones inside.
+  if (region.joined.fetch_or(Region::kCallerWaiting,
+                             std::memory_order_acq_rel) != 0) {
+    std::unique_lock<std::mutex> lock(mu_);
+    idle_cv_.wait(lock, [&] {
+      return region.joined.load(std::memory_order_acquire) ==
+             Region::kCallerWaiting;
+    });
+  }
+  // The exception is released here, on the caller, never on a worker.
+  if (region.error) std::rethrow_exception(region.error);
 }
 
 void ThreadPool::TaskGroup::Wait() {

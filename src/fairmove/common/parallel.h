@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -18,18 +17,26 @@ namespace fairmove {
 /// only move on the parallel branch of ParallelFor — the exact-serial
 /// `num_threads == 1` path stays atomic-free per the determinism contract.
 /// Queue-wait numbers are zero unless ThreadPool::SetTimingEnabled(true)
-/// (flipped on by telemetry) because taking timestamps per helper task is
-/// not free.
+/// (flipped on by telemetry) because taking timestamps per worker join is
+/// not free. A queue wait is the time from a region being opened to a worker
+/// joining it, one sample per join.
 struct PoolStats {
   int64_t regions = 0;             // parallel regions executed
   int64_t tasks = 0;               // task indices dispatched to regions
-  int64_t queue_wait_ns_total = 0; // enqueue -> helper start latency
+  int64_t queue_wait_ns_total = 0; // region open -> worker join latency
   int64_t queue_wait_ns_max = 0;
 };
 
 /// Fixed-size worker pool behind every task-parallel layer of the library
 /// (the repeated-experiment grid, the evaluator's method fan-out, sharded
-/// batched NN inference).
+/// batched NN inference, the region-sharded simulator step).
+///
+/// There is no task queue and no per-call heap state. A ParallelFor region
+/// is a record on the caller's stack, linked into the pool's list of open
+/// regions for the duration of the call; idle workers block on a condition
+/// variable and join any open region that still has unclaimed indices,
+/// including regions opened from inside another region's task, so nested
+/// regions stay parallel. A warm caller therefore never touches the heap.
 ///
 /// Determinism is a hard contract, achieved structurally rather than with
 /// locks: a parallel region only runs tasks that write to disjoint,
@@ -55,11 +62,16 @@ class ThreadPool {
   /// Runs fn(0) ... fn(n-1), each exactly once, returning when all have
   /// finished. Indices are claimed dynamically (the layers above submit
   /// coarse tasks, so claim order does not matter for balance) and the
-  /// caller participates, which makes nested ParallelFor from inside a task
-  /// deadlock-free even when every worker is busy: the inner caller simply
-  /// runs its own indices. If tasks throw, the region still accounts every
-  /// index and rethrows the exception of the lowest failing index, so which
-  /// error surfaces is as thread-count-independent as every other output.
+  /// caller participates: it runs indices of its own region until none are
+  /// left, then waits only for workers still inside that region. This makes
+  /// nested ParallelFor from inside a task deadlock-free even when every
+  /// worker is busy (the inner caller simply runs its own indices), while
+  /// idle workers still join the inner region. If tasks throw, the region
+  /// still accounts every index and rethrows the exception of the lowest
+  /// failing index, so which error surfaces is as thread-count-independent
+  /// as every other output. The region itself allocates nothing; hot
+  /// callers pass a prebuilt `fn` so that converting a lambda does not
+  /// allocate either.
   void ParallelFor(int64_t n, const std::function<void(int64_t)>& fn);
 
   /// Heterogeneous companion to ParallelFor for a batch of unrelated tasks.
@@ -93,21 +105,25 @@ class ThreadPool {
   /// while timing is enabled). The observability layer installs a callback
   /// that feeds its live latency histograms; common/ stays free of any
   /// dependency on obs/. The callback must be lock-free-cheap — it runs on
-  /// worker threads at task-start time.
+  /// worker threads each time one joins a region.
   using QueueWaitObserver = void (*)(int64_t wait_ns);
   static void SetQueueWaitObserver(QueueWaitObserver observer);
 
  private:
-  struct ForState;
+  struct Region;
 
   void WorkerLoop();
+  /// First open region with unclaimed indices, or nullptr. Needs mu_.
+  Region* FindOpenRegion() const;
   void RecordQueueWait(int64_t wait_ns);
 
   const int num_threads_;
   std::vector<std::thread> workers_;
   std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;
+  std::condition_variable work_cv_;  // a region opened, or shutdown
+  std::condition_variable idle_cv_;  // last worker left a waited-on region
+  Region* open_head_ = nullptr;      // intrusive list of open regions, by mu_
+  Region* open_tail_ = nullptr;
   bool shutdown_ = false;
 
   std::atomic<int64_t> regions_{0};

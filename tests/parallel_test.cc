@@ -7,6 +7,7 @@
 #include "fairmove/common/parallel.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
@@ -96,6 +97,57 @@ TEST(ThreadPoolTest, ExceptionRegionStillAccountsEveryIndex) {
                                 }),
                std::logic_error);
   EXPECT_EQ(ran.load(), 64);  // no index abandoned mid-region
+}
+
+// Registers one arrival, then waits (bounded, so a broken pool fails rather
+// than hangs) until `want` tasks are inside the barrier at the same time.
+bool ArriveAndAwait(std::atomic<int>* arrived, int want) {
+  arrived->fetch_add(1);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (arrived->load() < want) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(ThreadPoolTest, NestedRegionIsJoinedByIdleWorkers) {
+  ThreadPool pool(4);
+  // Outer index 1 returns at once; the region nested in index 0 can only
+  // pass its 3-way barrier if idle workers join it alongside its caller.
+  std::atomic<int> arrived{0};
+  std::atomic<int> met{0};
+  pool.ParallelFor(2, [&](int64_t outer) {
+    if (outer != 0) return;
+    pool.ParallelFor(3, [&](int64_t) {
+      if (ArriveAndAwait(&arrived, 3)) met.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(met.load(), 3);
+}
+
+std::atomic<int64_t> g_observed_waits{0};
+
+TEST(ThreadPoolTest, QueueWaitIsTimedPerWorkerJoin) {
+  ThreadPool pool(4);
+  g_observed_waits.store(0);
+  ThreadPool::SetQueueWaitObserver(
+      [](int64_t) { g_observed_waits.fetch_add(1); });
+  ThreadPool::SetTimingEnabled(true);
+  // A 4-way barrier over 4 indices forces all three workers to join.
+  std::atomic<int> arrived{0};
+  std::atomic<int> met{0};
+  pool.ParallelFor(4, [&](int64_t) {
+    if (ArriveAndAwait(&arrived, 4)) met.fetch_add(1);
+  });
+  ThreadPool::SetTimingEnabled(false);
+  ThreadPool::SetQueueWaitObserver(nullptr);
+  EXPECT_EQ(met.load(), 4);
+  EXPECT_EQ(g_observed_waits.load(), 3);
+  const PoolStats stats = pool.stats();
+  EXPECT_GT(stats.queue_wait_ns_total, 0);
+  EXPECT_GE(stats.queue_wait_ns_total, stats.queue_wait_ns_max);
 }
 
 TEST(ThreadPoolTest, TaskGroupRunsAllTasksAndIsReusable) {
