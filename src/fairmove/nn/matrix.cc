@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "fairmove/nn/simd.h"
 
@@ -9,77 +10,81 @@ namespace fairmove {
 
 namespace {
 
-// Column tile of the accumulation kernels. Keeps the active output slice and
-// the matching B-panel rows resident in L1 when n is large; a no-op cost for
-// the small layers the policies use (n <= 64 fits in one tile).
-constexpr int kColBlock = 256;
+using simd::kFloatLanes;
+using simd::VecF;
 
-// The single-row kernel shared by every batch row: out(i, j) accumulates
-// its k contributions in ascending-p order, one add per contribution. The
-// p-loop is unrolled 4x and the j-loop runs simd::kFloatLanes output
-// columns per iteration. Lanes are independent output elements, and
-// simd::Add/Mul are unfused single IEEE ops, so every element still
-// receives exactly the scalar tail loop's float sequence — the SIMD and
-// scalar paths are bit-identical (pinned by simd_kernels_test), the wider
-// registers just retire more elements per cycle.
-void MatMulRow(const float* a_row, const Matrix& b, int k, int n,
-               float* out_row) {
-  using simd::kFloatLanes;
-  for (int j0 = 0; j0 < n; j0 += kColBlock) {
-    const int j1 = std::min(n, j0 + kColBlock);
-    int p = 0;
-    for (; p + 4 <= k; p += 4) {
-      const float a0 = a_row[p], a1 = a_row[p + 1];
-      const float a2 = a_row[p + 2], a3 = a_row[p + 3];
-      const float* b0 = b.Row(p);
-      const float* b1 = b.Row(p + 1);
-      const float* b2 = b.Row(p + 2);
-      const float* b3 = b.Row(p + 3);
-      int j = j0;
-      if constexpr (kFloatLanes > 1) {
-        const simd::VecF va0 = simd::Set1(a0), va1 = simd::Set1(a1);
-        const simd::VecF va2 = simd::Set1(a2), va3 = simd::Set1(a3);
-        for (; j + kFloatLanes <= j1; j += kFloatLanes) {
-          simd::VecF t = simd::LoadU(out_row + j);
-          t = simd::Add(t, simd::Mul(va0, simd::LoadU(b0 + j)));
-          t = simd::Add(t, simd::Mul(va1, simd::LoadU(b1 + j)));
-          t = simd::Add(t, simd::Mul(va2, simd::LoadU(b2 + j)));
-          t = simd::Add(t, simd::Mul(va3, simd::LoadU(b3 + j)));
-          simd::StoreU(out_row + j, t);
-        }
-      }
-      for (; j < j1; ++j) {
-        float t = out_row[j];
-        t += a0 * b0[j];
-        t += a1 * b1[j];
-        t += a2 * b2[j];
-        t += a3 * b3[j];
-        out_row[j] = t;
+// Register tile of the GEMM core: kTileRows output rows x kTileVecs SIMD
+// vectors of output columns, held in registers across the whole depth loop
+// (8 accumulators + 2 B vectors + 1 broadcast: fits the 16 SSE2/AVX2/NEON
+// registers).
+constexpr int kTileRows = 4;
+constexpr int kTileVecs = 2;
+constexpr int kTileCols = kTileVecs * kFloatLanes;
+// The depth is walked in blocks so the A and B panels a row block sweeps stay
+// in L1 on long reductions (dW = input^T * delta reduces over the whole
+// batch). A block boundary only stores and reloads the accumulators, which
+// changes no bit.
+constexpr int kDepthBlock = 128;
+
+// One R x (V * kFloatLanes) tile over k depth steps. Lanes are independent
+// output elements and simd::Add/Mul are unfused single IEEE ops, so every
+// element gets exactly the float sequence of the scalar reference loop.
+template <int R, int V>
+void VecTile(const float* a, ptrdiff_t a_rs, ptrdiff_t a_cs, const float* b,
+             ptrdiff_t ldb, float* c, ptrdiff_t ldc, int k) {
+  VecF acc[R][V];
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) {
+      acc[r][v] = simd::LoadU(c + r * ldc + v * kFloatLanes);
+    }
+  }
+  for (int p = 0; p < k; ++p, a += a_cs, b += ldb) {
+    VecF bv[V];
+    for (int v = 0; v < V; ++v) bv[v] = simd::LoadU(b + v * kFloatLanes);
+    for (int r = 0; r < R; ++r) {
+      const VecF av = simd::Set1(a[r * a_rs]);
+      for (int v = 0; v < V; ++v) {
+        acc[r][v] = simd::Add(acc[r][v], simd::Mul(av, bv[v]));
       }
     }
-    for (; p < k; ++p) {
-      const float av = a_row[p];
-      const float* b_row = b.Row(p);
-      int j = j0;
-      if constexpr (kFloatLanes > 1) {
-        const simd::VecF vav = simd::Set1(av);
-        for (; j + kFloatLanes <= j1; j += kFloatLanes) {
-          const simd::VecF t = simd::Add(
-              simd::LoadU(out_row + j), simd::Mul(vav, simd::LoadU(b_row + j)));
-          simd::StoreU(out_row + j, t);
-        }
-      }
-      for (; j < j1; ++j) out_row[j] += av * b_row[j];
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) {
+      simd::StoreU(c + r * ldc + v * kFloatLanes, acc[r][v]);
     }
   }
 }
 
-}  // namespace
-
-void MatMulRowAccumulate(const float* a_row, const Matrix& b,
-                         float* out_row) {
-  MatMulRow(a_row, b, b.rows(), b.cols(), out_row);
+// One column of R rows: the n % kFloatLanes tail, same element sequence.
+template <int R>
+void ColumnTile(const float* a, ptrdiff_t a_rs, ptrdiff_t a_cs,
+                const float* b, ptrdiff_t ldb, float* c, ptrdiff_t ldc,
+                int k) {
+  float acc[R];
+  for (int r = 0; r < R; ++r) acc[r] = c[r * ldc];
+  for (int p = 0; p < k; ++p, a += a_cs, b += ldb) {
+    const float bv = *b;
+    for (int r = 0; r < R; ++r) acc[r] += a[r * a_rs] * bv;
+  }
+  for (int r = 0; r < R; ++r) c[r * ldc] = acc[r];
 }
+
+// R output rows across all n columns.
+template <int R>
+void RowBlock(int n, int k, const float* a, ptrdiff_t a_rs, ptrdiff_t a_cs,
+              const float* b, ptrdiff_t ldb, float* c, ptrdiff_t ldc) {
+  int j = 0;
+  for (; j + kTileCols <= n; j += kTileCols) {
+    VecTile<R, kTileVecs>(a, a_rs, a_cs, b + j, ldb, c + j, ldc, k);
+  }
+  if (j + kFloatLanes <= n) {  // at most one whole vector is left
+    VecTile<R, 1>(a, a_rs, a_cs, b + j, ldb, c + j, ldc, k);
+    j += kFloatLanes;
+  }
+  for (; j < n; ++j) ColumnTile<R>(a, a_rs, a_cs, b + j, ldb, c + j, ldc, k);
+}
+
+}  // namespace
 
 void Matrix::RandomGaussian(Rng& rng, double stddev) {
   for (float& v : data_) {
@@ -87,124 +92,59 @@ void Matrix::RandomGaussian(Rng& rng, double stddev) {
   }
 }
 
-// Accumulation order invariant (all MatMul* kernels): every output element
-// out(i, j) sums its k contributions in ascending-p order, one add per
-// contribution, starting from the zero Resize left behind. Batched
-// Mlp::Forward is documented to be bit-identical to per-row Forward1,
-// which holds exactly because rows are independent here — every batch row
-// runs the same MatMulRow kernel, so the per-element order never depends
-// on the batch size. There is deliberately NO zero-skip on a(i, p): it
-// would silently drop 0 * NaN / 0 * Inf contributions from a diverged
-// weight matrix and let it pass output-side NaN screening.
+// There is deliberately NO zero-skip on A(i, p): it would silently drop
+// 0 * NaN / 0 * Inf contributions from a diverged weight matrix and let it
+// pass output-side NaN screening.
+void GemmAccumulate(int m, int n, int k, const float* a, int a_row_stride,
+                    int a_col_stride, const float* b, int ldb, float* c,
+                    int ldc) {
+  if (m == 0 || n == 0) return;  // `a`/`c` may be null: offset nothing
+  const ptrdiff_t a_rs = a_row_stride, a_cs = a_col_stride;
+  for (int p0 = 0; p0 < k; p0 += kDepthBlock) {
+    const int kb = std::min(kDepthBlock, k - p0);
+    const float* ap = a + p0 * a_cs;
+    const float* bp = b + static_cast<ptrdiff_t>(p0) * ldb;
+    int i = 0;
+    for (; i + kTileRows <= m; i += kTileRows) {
+      RowBlock<kTileRows>(n, kb, ap + i * a_rs, a_rs, a_cs, bp, ldb,
+                          c + static_cast<ptrdiff_t>(i) * ldc, ldc);
+    }
+    for (; i < m; ++i) {
+      RowBlock<1>(n, kb, ap + i * a_rs, a_rs, a_cs, bp, ldb,
+                  c + static_cast<ptrdiff_t>(i) * ldc, ldc);
+    }
+  }
+}
+
 void MatMul(const Matrix& a, const Matrix& b, Matrix* out) {
   FM_CHECK(a.cols() == b.rows())
       << "MatMul shape mismatch: " << a.cols() << " vs " << b.rows();
   out->Resize(a.rows(), b.cols());
-  const int m = a.rows(), k = a.cols(), n = b.cols();
-  for (int i = 0; i < m; ++i) {
-    MatMulRow(a.Row(i), b, k, n, out->Row(i));
-  }
+  GemmAccumulate(a.rows(), b.cols(), a.cols(), a.data(), a.cols(), 1,
+                 b.data(), b.cols(), out->data(), out->cols());
 }
 
 void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* out) {
   FM_CHECK(a.rows() == b.rows())
       << "MatMulTransA shape mismatch: " << a.rows() << " vs " << b.rows();
   out->Resize(a.cols(), b.cols());
-  const int k = a.rows(), m = a.cols(), n = b.cols();
-  using simd::kFloatLanes;
-  for (int j0 = 0; j0 < n; j0 += kColBlock) {
-    const int j1 = std::min(n, j0 + kColBlock);
-    int p = 0;
-    for (; p + 4 <= k; p += 4) {
-      const float* a0 = a.Row(p);
-      const float* a1 = a.Row(p + 1);
-      const float* a2 = a.Row(p + 2);
-      const float* a3 = a.Row(p + 3);
-      const float* b0 = b.Row(p);
-      const float* b1 = b.Row(p + 1);
-      const float* b2 = b.Row(p + 2);
-      const float* b3 = b.Row(p + 3);
-      for (int i = 0; i < m; ++i) {
-        float* out_row = out->Row(i);
-        const float v0 = a0[i], v1 = a1[i], v2 = a2[i], v3 = a3[i];
-        int j = j0;
-        if constexpr (kFloatLanes > 1) {
-          const simd::VecF vv0 = simd::Set1(v0), vv1 = simd::Set1(v1);
-          const simd::VecF vv2 = simd::Set1(v2), vv3 = simd::Set1(v3);
-          for (; j + kFloatLanes <= j1; j += kFloatLanes) {
-            simd::VecF t = simd::LoadU(out_row + j);
-            t = simd::Add(t, simd::Mul(vv0, simd::LoadU(b0 + j)));
-            t = simd::Add(t, simd::Mul(vv1, simd::LoadU(b1 + j)));
-            t = simd::Add(t, simd::Mul(vv2, simd::LoadU(b2 + j)));
-            t = simd::Add(t, simd::Mul(vv3, simd::LoadU(b3 + j)));
-            simd::StoreU(out_row + j, t);
-          }
-        }
-        for (; j < j1; ++j) {
-          float t = out_row[j];
-          t += v0 * b0[j];
-          t += v1 * b1[j];
-          t += v2 * b2[j];
-          t += v3 * b3[j];
-          out_row[j] = t;
-        }
-      }
-    }
-    for (; p < k; ++p) {
-      const float* a_row = a.Row(p);
-      const float* b_row = b.Row(p);
-      for (int i = 0; i < m; ++i) {
-        const float av = a_row[i];
-        float* out_row = out->Row(i);
-        int j = j0;
-        if constexpr (kFloatLanes > 1) {
-          const simd::VecF vav = simd::Set1(av);
-          for (; j + kFloatLanes <= j1; j += kFloatLanes) {
-            const simd::VecF t =
-                simd::Add(simd::LoadU(out_row + j),
-                          simd::Mul(vav, simd::LoadU(b_row + j)));
-            simd::StoreU(out_row + j, t);
-          }
-        }
-        for (; j < j1; ++j) out_row[j] += av * b_row[j];
-      }
-    }
-  }
+  GemmAccumulate(a.cols(), b.cols(), a.rows(), a.data(), 1, a.cols(),
+                 b.data(), b.cols(), out->data(), out->cols());
 }
 
 void MatMulTransB(const Matrix& a, const Matrix& b, Matrix* out) {
   FM_CHECK(a.cols() == b.cols())
       << "MatMulTransB shape mismatch: " << a.cols() << " vs " << b.cols();
-  out->Resize(a.rows(), b.rows());
-  const int m = a.rows(), k = a.cols(), n = b.rows();
-  using simd::kFloatLanes;
-  for (int i = 0; i < m; ++i) {
-    const float* a_row = a.Row(i);
-    float* out_row = out->Row(i);
-    int j = 0;
-    // Each output element accumulates over p into a private chain, so the
-    // only way to vectorise without reordering the sum is one chain per
-    // lane: lane l owns column j + l and reads b(j + l, p) via the strided
-    // LoadLanes. The win over scalar is the 4/8 independent dependency
-    // chains (the scalar loop is one serial add chain), not the loads.
-    if constexpr (kFloatLanes > 1) {
-      for (; j + kFloatLanes <= n; j += kFloatLanes) {
-        const float* rows[static_cast<size_t>(kFloatLanes)];
-        for (int l = 0; l < kFloatLanes; ++l) rows[l] = b.Row(j + l);
-        simd::VecF acc = simd::Zero();
-        for (int p = 0; p < k; ++p) {
-          acc = simd::Add(
-              acc, simd::Mul(simd::Set1(a_row[p]), simd::LoadLanes(rows, p)));
-        }
-        simd::StoreU(out_row + j, acc);
-      }
-    }
-    for (; j < n; ++j) {
-      const float* b_row = b.Row(j);
-      float acc = 0.0f;
-      for (int p = 0; p < k; ++p) acc += a_row[p] * b_row[p];
-      out_row[j] = acc;
-    }
+  Matrix bt;
+  Transpose(b, &bt);
+  MatMul(a, bt, out);
+}
+
+void Transpose(const Matrix& m, Matrix* out) {
+  out->Resize(m.cols(), m.rows());
+  for (int i = 0; i < m.rows(); ++i) {
+    const float* row = m.Row(i);
+    for (int j = 0; j < m.cols(); ++j) out->At(j, i) = row[j];
   }
 }
 

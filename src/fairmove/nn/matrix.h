@@ -63,22 +63,30 @@ class Matrix {
   std::vector<float> data_;
 };
 
+/// The one GEMM core under every product here: for i < m, j < n,
+///   c[i * ldc + j] += sum over p < k of A(i, p) * b[p * ldb + j],
+/// A(i, p) = a[i * a_row_stride + p * a_col_stride] (a row-major matrix or
+/// the transpose of one). Each element adds its k contributions in
+/// ascending p, one unfused Add(acc, Mul(a, b)) each, to what `c` holds
+/// (callers zero it first). That order never depends on the tile an element
+/// lands in or on which rows a call covers, so any split of the output rows
+/// is bit-identical to one call, and every SIMD backend to scalar.
+void GemmAccumulate(int m, int n, int k, const float* a, int a_row_stride,
+                    int a_col_stride, const float* b, int ldb, float* c,
+                    int ldc);
+
 /// out = a * b. Shapes: [m x k] * [k x n] -> [m x n]. `out` is resized.
 void MatMul(const Matrix& a, const Matrix& b, Matrix* out);
-
-/// One row of MatMul: out_row[j] += sum_p a_row[p] * b(p, j), accumulated in
-/// the pinned ascending-p order starting from whatever `out_row` holds
-/// (callers zero it first). This is the exact kernel MatMul runs per batch
-/// row; it is exposed so batched layers can shard rows across threads while
-/// staying bit-identical to the serial pass. `a_row` has b.rows() entries,
-/// `out_row` b.cols().
-void MatMulRowAccumulate(const float* a_row, const Matrix& b, float* out_row);
 
 /// out = a^T * b. Shapes: [k x m]^T * [k x n] -> [m x n].
 void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* out);
 
-/// out = a * b^T. Shapes: [m x k] * [n x k]^T -> [m x n].
+/// out = a * b^T. Shapes: [m x k] * [n x k]^T -> [m x n]. Runs the core over
+/// a transposed copy of `b` (a local here; Mlp keeps its own in a Workspace).
 void MatMulTransB(const Matrix& a, const Matrix& b, Matrix* out);
+
+/// out = m^T. `out` is resized.
+void Transpose(const Matrix& m, Matrix* out);
 
 /// Adds row-vector `bias` (size cols) to every row of `m`.
 void AddRowBias(const std::vector<float>& bias, Matrix* m);

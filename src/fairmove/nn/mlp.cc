@@ -116,6 +116,59 @@ void ReluN(float* data, size_t n) {
   for (; i < n; ++i) data[i] = std::max(0.0f, data[i]);
 }
 
+void ActivateN(Activation activation, float* data, size_t n) {
+  switch (activation) {
+    case Activation::kLinear:
+      return;
+    case Activation::kRelu:
+      ReluN(data, n);
+      return;
+    case Activation::kTanh:
+      FastTanhN(data, n);
+      return;
+  }
+}
+
+// Below this many batch rows per shard the fork/join overhead beats the win
+// on these small policy networks; ForwardRows also walks rows in chunks of
+// this many through the whole network.
+constexpr int kMinRowsPerShard = 64;
+// A dW shard must carry at least this many multiply-adds (the 64 x 64 x 64
+// of one kMinRowsPerShard-row layer).
+constexpr int64_t kMinShardMadds = int64_t{1} << 18;
+// Shard boundaries fall on whole GEMM register tiles (4 rows).
+constexpr int kShardAlign = 4;
+
+/// Shards for `rows` output rows when each shard needs `min_rows`: one per
+/// `min_rows`, at most one per pool lane.
+int ShardCount(const ThreadPool* pool, int rows, int64_t min_rows) {
+  if (pool == nullptr || pool->num_threads() <= 1) return 1;
+  return static_cast<int>(
+      std::clamp<int64_t>(rows / min_rows, 1, pool->num_threads()));
+}
+
+/// Rows [first, second) of shard `s` of `shards` balanced contiguous
+/// ranges over `rows`, split on kShardAlign boundaries.
+std::pair<int, int> ShardRange(int rows, int shards, int s) {
+  const int groups = (rows + kShardAlign - 1) / kShardAlign;
+  const int quot = groups / shards, rem = groups % shards;
+  const int begin = (s * quot + std::min(s, rem)) * kShardAlign;
+  const int end = begin + (quot + (s < rem ? 1 : 0)) * kShardAlign;
+  return {std::min(begin, rows), std::min(end, rows)};
+}
+
+/// Runs fn(0) ... fn(n - 1): inline in index order on a null or one-lane
+/// pool, else as one ParallelFor region whose std::function holds a single
+/// reference (it fits the inline buffer, so nothing is allocated).
+template <typename Fn>
+void RunTasks(ThreadPool* pool, int n, const Fn& fn) {
+  if (pool == nullptr || pool->num_threads() <= 1 || n <= 1) {
+    for (int t = 0; t < n; ++t) fn(t);
+    return;
+  }
+  pool->ParallelFor(n, [&fn](int64_t t) { fn(static_cast<int>(t)); });
+}
+
 }  // namespace
 
 Mlp::Mlp(const std::vector<int>& sizes, Activation hidden_activation,
@@ -139,72 +192,52 @@ Mlp::Mlp(const std::vector<int>& sizes, Activation hidden_activation,
   }
 }
 
-void Mlp::ApplyActivation(Matrix* m, bool is_last) const {
-  if (is_last) return;  // linear output head
-  switch (hidden_activation_) {
-    case Activation::kLinear:
-      return;
-    case Activation::kRelu:
-      ReluN(m->data(), m->size());
-      return;
-    case Activation::kTanh:
-      FastTanhN(m->data(), m->size());
-      return;
-  }
-}
-
-void Mlp::Forward(const Matrix& x, Matrix* y) const {
-  Workspace ws;
-  Forward(x, y, &ws);
-}
-
 void Mlp::Forward(const Matrix& x, Matrix* y, Workspace* ws) const {
   FM_CHECK(x.cols() == input_dim())
       << "input dim " << x.cols() << " != " << input_dim();
   FM_CHECK(y != &x) << "Forward output must not alias the input";
   y->Resize(x.rows(), output_dim());
-  ForwardRows(x, 0, x.rows(), y, ws);
+  Workspace local;
+  ForwardRows(x, 0, x.rows(), y, ws != nullptr ? ws : &local);
 }
 
 void Mlp::ForwardRows(const Matrix& x, int row_begin, int row_end, Matrix* y,
                       Workspace* ws) const {
-  const int len = row_end - row_begin;
-  const Matrix* current = &x;
-  int base = row_begin;
-  for (int layer = 0; layer < num_layers(); ++layer) {
-    const size_t li = static_cast<size_t>(layer);
-    const bool last = layer + 1 == num_layers();
-    const int out_cols = sizes_[li + 1];
-    // The last layer writes straight into `y` at the shard's row offset;
-    // hidden layers ping-pong between the two shard-local workspace buffers
-    // (the alternation guarantees the input of a layer is never its output).
-    Matrix* dst = last ? y : &ws->act[li % 2];
-    int out_base = row_begin;
-    if (!last) {
-      dst->Resize(len, out_cols);  // also zeroes for the accumulate kernel
-      out_base = 0;
-    }
-    const Matrix& w = weights_[li];
-    const std::vector<float>& bias = biases_[li];
-    for (int i = 0; i < len; ++i) {
-      float* out_row = dst->Row(out_base + i);
-      MatMulRowAccumulate(current->Row(base + i), w, out_row);
-      for (int j = 0; j < out_cols; ++j) out_row[j] += bias[static_cast<size_t>(j)];
+  // Rows pass through all layers in chunks, so the hidden activations stay
+  // small and cache-resident whatever the batch size.
+  for (int chunk = row_begin; chunk < row_end; chunk += kMinRowsPerShard) {
+    const int len = std::min(kMinRowsPerShard, row_end - chunk);
+    const Matrix* current = &x;
+    int base = chunk;
+    for (int layer = 0; layer < num_layers(); ++layer) {
+      const size_t li = static_cast<size_t>(layer);
+      const bool last = layer + 1 == num_layers();
+      const int in_cols = sizes_[li], out_cols = sizes_[li + 1];
+      // The last layer writes straight into `y` at the chunk's row offset;
+      // hidden layers ping-pong between the two workspace buffers (the
+      // alternation guarantees the input of a layer is never its output).
+      Matrix* dst = last ? y : &ws->act[li % 2];
+      int out_base = chunk;
       if (!last) {
-        switch (hidden_activation_) {
-          case Activation::kLinear:
-            break;
-          case Activation::kRelu:
-            ReluN(out_row, static_cast<size_t>(out_cols));
-            break;
-          case Activation::kTanh:
-            FastTanhN(out_row, static_cast<size_t>(out_cols));
-            break;
+        dst->Resize(len, out_cols);  // also zeroes for the accumulate kernel
+        out_base = 0;
+      }
+      const std::vector<float>& bias = biases_[li];
+      GemmAccumulate(len, out_cols, in_cols, current->Row(base), in_cols, 1,
+                     weights_[li].data(), out_cols, dst->Row(out_base),
+                     out_cols);
+      for (int i = 0; i < len; ++i) {
+        float* out_row = dst->Row(out_base + i);
+        for (int j = 0; j < out_cols; ++j) {
+          out_row[j] += bias[static_cast<size_t>(j)];
+        }
+        if (!last) {
+          ActivateN(hidden_activation_, out_row, static_cast<size_t>(out_cols));
         }
       }
+      current = dst;
+      base = 0;
     }
-    current = dst;
-    base = 0;
   }
 }
 
@@ -215,26 +248,14 @@ void Mlp::Forward(const Matrix& x, Matrix* y, ThreadPool* pool,
   FM_CHECK(y != &x) << "Forward output must not alias the input";
   const int rows = x.rows();
   y->Resize(rows, output_dim());
-  // Below this many rows per shard the fork/join overhead beats the win on
-  // these small policy networks.
-  constexpr int kMinRowsPerShard = 64;
-  int shards = 1;
-  if (pool != nullptr && pool->num_threads() > 1) {
-    shards = std::clamp(rows / kMinRowsPerShard, 1, pool->num_threads());
-  }
+  const int shards = ShardCount(pool, rows, kMinRowsPerShard);
   if (static_cast<int>(ws->shards.size()) < shards) {
     ws->shards.resize(static_cast<size_t>(shards));
   }
-  if (shards == 1) {
-    ForwardRows(x, 0, rows, y, &ws->shards[0]);
-    return;
-  }
-  // Balanced contiguous ranges; shard s writes only rows [begin_s, end_s),
-  // so shards race on nothing and `y` is bit-identical for any shard count.
-  const int quot = rows / shards, rem = rows % shards;
-  pool->ParallelFor(shards, [&](int64_t s) {
-    const int begin = static_cast<int>(s) * quot + std::min(static_cast<int>(s), rem);
-    const int end = begin + quot + (static_cast<int>(s) < rem ? 1 : 0);
+  // Shard s writes only its own rows of `y`, so shards race on nothing and
+  // `y` is bit-identical for any shard count.
+  RunTasks(pool, shards, [&](int s) {
+    const auto [begin, end] = ShardRange(rows, shards, s);
     ForwardRows(x, begin, end, y, &ws->shards[static_cast<size_t>(s)]);
   });
 }
@@ -248,23 +269,49 @@ std::vector<float> Mlp::Forward1(const std::vector<float>& x) const {
   return std::vector<float>(out.Row(0), out.Row(0) + out.cols());
 }
 
-void Mlp::ForwardTape(const Matrix& x, Tape* tape) const {
+void Mlp::ForwardTape(const Matrix& x, Tape* tape, ThreadPool* pool) const {
   FM_CHECK(x.cols() == input_dim());
   tape->input = x;
   // resize (not assign) keeps existing per-layer matrices alive so their
   // buffers are reused on every pass through the same tape.
   tape->pre.resize(static_cast<size_t>(num_layers()));
   tape->post.resize(static_cast<size_t>(num_layers()));
-  const Matrix* current = &tape->input;
+  const int rows = x.rows();
   for (int layer = 0; layer < num_layers(); ++layer) {
-    Matrix& pre = tape->pre[static_cast<size_t>(layer)];
-    MatMul(*current, weights_[static_cast<size_t>(layer)], &pre);
-    AddRowBias(biases_[static_cast<size_t>(layer)], &pre);
-    Matrix& post = tape->post[static_cast<size_t>(layer)];
-    post = pre;
-    ApplyActivation(&post, layer + 1 == num_layers());
-    current = &post;
+    const size_t li = static_cast<size_t>(layer);
+    tape->pre[li].Resize(rows, sizes_[li + 1]);
+    tape->post[li].Resize(rows, sizes_[li + 1]);
   }
+  // A batch row depends only on the same row of the layer below, so each
+  // shard runs its rows through every layer with no barrier in between.
+  const int shards = ShardCount(pool, rows, kMinRowsPerShard);
+  RunTasks(pool, shards, [&](int s) {
+    const auto [begin, end] = ShardRange(rows, shards, s);
+    const Matrix* current = &tape->input;
+    for (int layer = 0; layer < num_layers() && begin < end; ++layer) {
+      const size_t li = static_cast<size_t>(layer);
+      const int in_cols = sizes_[li], out_cols = sizes_[li + 1];
+      Matrix& pre = tape->pre[li];
+      Matrix& post = tape->post[li];
+      GemmAccumulate(end - begin, out_cols, in_cols, current->Row(begin),
+                     in_cols, 1, weights_[li].data(), out_cols,
+                     pre.Row(begin), out_cols);
+      const std::vector<float>& bias = biases_[li];
+      for (int i = begin; i < end; ++i) {
+        float* pre_row = pre.Row(i);
+        float* post_row = post.Row(i);
+        for (int j = 0; j < out_cols; ++j) {
+          pre_row[j] += bias[static_cast<size_t>(j)];
+          post_row[j] = pre_row[j];
+        }
+        if (layer + 1 < num_layers()) {
+          ActivateN(hidden_activation_, post_row,
+                    static_cast<size_t>(out_cols));
+        }
+      }
+      current = &post;
+    }
+  });
 }
 
 Mlp::Gradients Mlp::MakeGradients() const {
@@ -284,55 +331,75 @@ void Mlp::Gradients::Zero() {
 }
 
 void Mlp::Backward(const Tape& tape, const Matrix& grad_output,
-                   Gradients* grads) const {
-  Workspace ws;
-  Backward(tape, grad_output, grads, &ws);
-}
-
-void Mlp::Backward(const Tape& tape, const Matrix& grad_output,
-                   Gradients* grads, Workspace* ws) const {
+                   Gradients* grads, Workspace* ws, ThreadPool* pool) const {
   FM_CHECK(grad_output.cols() == output_dim());
   FM_CHECK(grad_output.rows() == tape.input.rows());
   FM_CHECK(grads->dw.size() == weights_.size());
+  const int rows = tape.input.rows();
+  Workspace local;
+  if (ws == nullptr) ws = &local;
 
-  Matrix& delta = ws->delta;  // dL/d(pre) of the current layer
+  // dL/d(pre) of the current layer. The output layer is linear; the hidden
+  // layers' activation derivative is applied by the propagation that
+  // produces their delta.
+  Matrix& delta = ws->delta;
   delta = grad_output;
   for (int layer = num_layers() - 1; layer >= 0; --layer) {
     const size_t li = static_cast<size_t>(layer);
-    // Output layer is linear; hidden layers need the activation derivative.
-    if (layer != num_layers() - 1) {
-      const Matrix& post = tape.post[li];
-      switch (hidden_activation_) {
-        case Activation::kLinear:
-          break;
-        case Activation::kRelu:
-          for (size_t i = 0; i < delta.size(); ++i) {
-            if (post.data()[i] <= 0.0f) delta.data()[i] = 0.0f;
-          }
-          break;
-        case Activation::kTanh:
-          for (size_t i = 0; i < delta.size(); ++i) {
-            const float t = post.data()[i];
-            delta.data()[i] *= 1.0f - t * t;
-          }
-          break;
-      }
-    }
-    const Matrix& layer_input =
-        layer == 0 ? tape.input : tape.post[li - 1];
-    // dW += input^T * delta;  db += column sums of delta.
+    const int in_cols = sizes_[li], out_cols = sizes_[li + 1];
+    const Matrix& layer_input = layer == 0 ? tape.input : tape.post[li - 1];
     Matrix& dw = ws->dw;
-    MatMulTransA(layer_input, delta, &dw);
+    dw.Resize(in_cols, out_cols);
     Matrix& acc = grads->dw[li];
-    FM_CHECK(acc.rows() == dw.rows() && acc.cols() == dw.cols());
-    for (size_t i = 0; i < dw.size(); ++i) acc.data()[i] += dw.data()[i];
-    SumRows(delta, &ws->db);
-    for (size_t i = 0; i < ws->db.size(); ++i) grads->db[li][i] += ws->db[i];
+    FM_CHECK(acc.rows() == in_cols && acc.cols() == out_cols);
     if (layer > 0) {
-      // Propagate: delta_prev = delta * W^T.
-      MatMulTransB(delta, weights_[li], &ws->delta_prev);
-      std::swap(delta, ws->delta_prev);
+      Transpose(weights_[li], &ws->wt);
+      ws->delta_prev.Resize(rows, in_cols);
     }
+    // One region per layer, all reading `delta`: task 0 sums db, then the
+    // dW row blocks of input^T * delta, then the batch-row blocks of
+    // delta * W^T. Every task writes its own outputs only.
+    const int64_t dw_row_madds = std::max<int64_t>(int64_t{rows} * out_cols, 1);
+    const int dw_shards = ShardCount(
+        pool, in_cols,
+        std::max<int64_t>(kShardAlign, kMinShardMadds / dw_row_madds));
+    const int prop_shards =
+        layer > 0 ? ShardCount(pool, rows, kMinRowsPerShard) : 0;
+    const bool split = dw_shards > 1 || prop_shards > 1;
+    RunTasks(split ? pool : nullptr, 1 + dw_shards + prop_shards, [&](int t) {
+      if (t == 0) {
+        SumRows(delta, &ws->db);
+        std::vector<float>& db = grads->db[li];
+        for (size_t i = 0; i < db.size(); ++i) db[i] += ws->db[i];
+      } else if (t <= dw_shards) {
+        const auto [begin, end] = ShardRange(in_cols, dw_shards, t - 1);
+        GemmAccumulate(end - begin, out_cols, rows, layer_input.data() + begin,
+                       1, in_cols, delta.data(), out_cols, dw.Row(begin),
+                       out_cols);
+        for (size_t i = static_cast<size_t>(begin) * out_cols;
+             i < static_cast<size_t>(end) * out_cols; ++i) {
+          acc.data()[i] += dw.data()[i];
+        }
+      } else {
+        const auto [begin, end] =
+            ShardRange(rows, prop_shards, t - 1 - dw_shards);
+        const size_t first = static_cast<size_t>(begin) * in_cols;
+        float* d = ws->delta_prev.data() + first;
+        GemmAccumulate(end - begin, in_cols, out_cols,
+                       delta.data() + static_cast<size_t>(begin) * out_cols,
+                       out_cols, 1, ws->wt.data(), in_cols, d, in_cols);
+        const float* post = tape.post[li - 1].data() + first;
+        const size_t n = static_cast<size_t>(end - begin) * in_cols;
+        if (hidden_activation_ == Activation::kRelu) {
+          for (size_t i = 0; i < n; ++i) {
+            if (post[i] <= 0.0f) d[i] = 0.0f;
+          }
+        } else if (hidden_activation_ == Activation::kTanh) {
+          for (size_t i = 0; i < n; ++i) d[i] *= 1.0f - post[i] * post[i];
+        }
+      }
+    });
+    if (layer > 0) std::swap(delta, ws->delta_prev);
   }
 }
 

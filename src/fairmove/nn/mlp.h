@@ -38,6 +38,7 @@ class Mlp {
     Matrix delta;         // dL/d(pre) of the current layer (Backward)
     Matrix delta_prev;    // propagated delta (Backward)
     Matrix dw;            // per-layer weight gradient (Backward)
+    Matrix wt;            // transposed layer weights for delta * W^T
     std::vector<float> db;
   };
 
@@ -47,11 +48,10 @@ class Mlp {
   /// Batched inference: `x` is [batch x input_dim], `y` [batch x out_dim].
   /// `y` must not alias `x`. Bit-exactness invariant: row i of `y` is
   /// bit-identical to Forward1 of row i — per-row accumulation order is
-  /// independent of the batch size (see MatMul), which is what keeps
-  /// batched decision paths on the seed's deterministic trajectory.
-  void Forward(const Matrix& x, Matrix* y) const;
-  /// Same, reusing `ws` so the steady-state pass does zero heap allocation.
-  void Forward(const Matrix& x, Matrix* y, Workspace* ws) const;
+  /// independent of the batch size (see GemmAccumulate), which is what
+  /// keeps batched decision paths on the seed's deterministic trajectory.
+  /// Passing `ws` makes the steady-state pass allocation-free.
+  void Forward(const Matrix& x, Matrix* y, Workspace* ws = nullptr) const;
 
   /// One Workspace per row shard, so concurrent shards never share scratch.
   /// Shard count stabilises after the first call (same batch size and pool
@@ -61,13 +61,12 @@ class Mlp {
   };
 
   /// Row-sharded batched inference: contiguous row ranges of `x` are
-  /// processed concurrently on `pool`, each shard running the same
-  /// order-pinned per-row kernel (MatMulRowAccumulate) into its own rows of
-  /// `y` with its own Workspace. Because every output row is computed by
-  /// the identical per-row instruction sequence, the result is bit-identical
-  /// to the serial Forward for every pool size and shard count. Falls back
-  /// to one shard for small batches (sharding overhead would dominate) or a
-  /// serial/null pool.
+  /// processed concurrently on `pool`, each shard running the GEMM core over
+  /// its own rows of `y` with its own Workspace. The core's per-element
+  /// order does not depend on which rows a call covers, so the result is
+  /// bit-identical to the serial Forward for every pool size and shard
+  /// count. Falls back to one shard for small batches (sharding overhead
+  /// would dominate) or a serial/null pool.
   void Forward(const Matrix& x, Matrix* y, ThreadPool* pool,
                ShardedWorkspace* ws) const;
 
@@ -78,7 +77,10 @@ class Mlp {
     std::vector<Matrix> pre;   // pre-activation of each layer
     std::vector<Matrix> post;  // post-activation of each layer
   };
-  void ForwardTape(const Matrix& x, Tape* tape) const;
+  /// Sharded over batch rows on `pool` (serial when null or small); every
+  /// element is computed exactly as in the serial pass.
+  void ForwardTape(const Matrix& x, Tape* tape,
+                   ThreadPool* pool = nullptr) const;
   /// The network output of a taped pass.
   const Matrix& Output(const Tape& tape) const { return tape.post.back(); }
 
@@ -92,12 +94,13 @@ class Mlp {
 
   /// Backprop of dL/d(output) through the taped pass; accumulates into
   /// `grads` (call grads->Zero() between batches unless accumulating).
-  void Backward(const Tape& tape, const Matrix& grad_output,
-                Gradients* grads) const;
-  /// Same, reusing `ws` scratch so steady-state backprop does zero heap
-  /// allocation.
+  /// Passing `ws` makes steady-state backprop allocation-free. With a
+  /// `pool`, each layer's products are sharded by output rows only: blocks
+  /// of dW rows for input^T * delta, batch rows for delta * W^T. No
+  /// reduction is split, so the gradients are bit-identical to the serial
+  /// pass at any pool size.
   void Backward(const Tape& tape, const Matrix& grad_output, Gradients* grads,
-                Workspace* ws) const;
+                Workspace* ws = nullptr, ThreadPool* pool = nullptr) const;
 
   // --- Parameter access (optimizer / target-network support) -------------
   std::vector<Matrix>& weights() { return weights_; }
@@ -129,14 +132,12 @@ class Mlp {
   static StatusOr<Mlp> LoadFromFile(const std::string& path);
 
  private:
-  void ApplyActivation(Matrix* m, bool is_last) const;
-
   /// Runs rows [row_begin, row_end) of `x` through the network into the
   /// same rows of `y` (which must already be sized [x.rows() x output_dim]
-  /// and zeroed in that range). The per-row op sequence — zero-based
+  /// and zeroed in that range). The per-element op sequence — zero-based
   /// ascending-p accumulation, bias add, activation — matches the unsharded
-  /// MatMul/AddRowBias/ApplyActivation pipeline element for element, which
-  /// is what makes sharded and serial passes bit-identical.
+  /// MatMul, bias-add, activation pipeline exactly, which is what
+  /// makes sharded and serial passes bit-identical.
   void ForwardRows(const Matrix& x, int row_begin, int row_end, Matrix* y,
                    Workspace* ws) const;
 

@@ -79,6 +79,8 @@ Cma2cPolicy::Cma2cPolicy(const Simulator& sim, Options options)
   critic_opt_ = std::make_unique<Adam>(
       critic_.get(),
       Adam::Options{.learning_rate = options.critic_learning_rate});
+  actor_grads_ = actor_->MakeGradients();
+  critic_grads_ = critic_->MakeGradients();
 }
 
 void Cma2cPolicy::DecideActions(const Simulator& sim,
@@ -277,78 +279,81 @@ void Cma2cPolicy::Learn(const std::vector<Transition>& transitions) {
 void Cma2cPolicy::Update(const std::vector<Transition>& transitions) {
   const int n = static_cast<int>(transitions.size());
   const int dim = features_.dim();
+  ThreadPool* pool = &GlobalPool();
 
-  Matrix x(n, dim);
-  Matrix next_x(n, dim);
-  for (int i = 0; i < n; ++i) {
-    const Transition& t = transitions[static_cast<size_t>(i)];
-    FM_CHECK(static_cast<int>(t.state.size()) == dim)
-        << "CMA2C transition carries foreign features";
-    std::copy(t.state.begin(), t.state.end(), x.Row(i));
-    if (!t.terminal) {
-      std::copy(t.next_state.begin(), t.next_state.end(), next_x.Row(i));
-    }
-  }
-
-  // --- Critic: minimise (V(s) - y)^2 with y from the target net (Eq 6-7).
-  Matrix next_v;
-  critic_target_->Forward(next_x, &next_v);
-  std::vector<double> targets(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const Transition& t = transitions[static_cast<size_t>(i)];
-    targets[static_cast<size_t>(i)] =
-        t.reward + (t.terminal ? 0.0 : t.discount * next_v.At(i, 0));
-  }
-
-  if (guard_ != nullptr) {
-    for (double y : targets) {
-      if (!std::isfinite(y)) {
-        RollBack("non-finite TD target (reward or target-critic output)");
-        return;
+  {
+    FM_SPAN("learn/pack");
+    learn_x_.Resize(n, dim);
+    learn_next_x_.Resize(n, dim);
+    for (int i = 0; i < n; ++i) {
+      const Transition& t = transitions[static_cast<size_t>(i)];
+      FM_CHECK(static_cast<int>(t.state.size()) == dim)
+          << "CMA2C transition carries foreign features";
+      std::copy(t.state.begin(), t.state.end(), learn_x_.Row(i));
+      if (!t.terminal) {
+        std::copy(t.next_state.begin(), t.next_state.end(),
+                  learn_next_x_.Row(i));
       }
     }
   }
 
-  Mlp::Tape& critic_tape = critic_tape_;  // buffers reused across updates
-  critic_->ForwardTape(x, &critic_tape);
-  const Matrix& v = critic_->Output(critic_tape);
-  Matrix critic_grad(n, 1);
-  double critic_loss = 0.0;
-  std::vector<double> advantages(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const double diff = v.At(i, 0) - targets[static_cast<size_t>(i)];
-    critic_loss += diff * diff;
-    critic_grad.At(i, 0) = static_cast<float>(2.0 * diff / n);
-    // Advantage = TD error (Eq 11).
-    advantages[static_cast<size_t>(i)] = -diff;
-  }
-  last_critic_loss_ = critic_loss / n;
-  if (guard_ != nullptr && !std::isfinite(last_critic_loss_)) {
-    // Rollback fires before any optimizer step, so the parameters still
-    // equal the last-good checkpoint exactly.
-    RollBack("non-finite critic loss");
-    return;
-  }
-  Mlp::Gradients critic_grads = critic_->MakeGradients();
-  critic_->Backward(critic_tape, critic_grad, &critic_grads, &backward_ws_);
-  critic_opt_->Step(critic_grads);
+  // --- Critic: minimise (V(s) - y)^2 with y from the target net (Eq 6-7).
+  {
+    FM_SPAN("learn/critic");
+    critic_target_->Forward(learn_next_x_, &next_v_, pool, &target_ws_);
+    targets_.resize(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      const Transition& t = transitions[static_cast<size_t>(i)];
+      targets_[static_cast<size_t>(i)] =
+          t.reward + (t.terminal ? 0.0 : t.discount * next_v_.At(i, 0));
+    }
 
-  if (options_.normalize_advantages && n > 1) {
-    double mean = 0.0;
-    for (double a : advantages) mean += a;
-    mean /= n;
-    double var = 0.0;
-    for (double a : advantages) var += (a - mean) * (a - mean);
-    var /= n;
-    const double stddev = std::sqrt(var) + 1e-6;
-    for (double& a : advantages) a = (a - mean) / stddev;
+    if (guard_ != nullptr) {
+      for (double y : targets_) {
+        if (!std::isfinite(y)) {
+          RollBack("non-finite TD target (reward or target-critic output)");
+          return;
+        }
+      }
+    }
+
+    critic_->ForwardTape(learn_x_, &critic_tape_, pool);
+    const Matrix& v = critic_->Output(critic_tape_);
+    critic_grad_.Resize(n, 1);
+    double critic_loss = 0.0;
+    advantages_.resize(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      const double diff = v.At(i, 0) - targets_[static_cast<size_t>(i)];
+      critic_loss += diff * diff;
+      critic_grad_.At(i, 0) = static_cast<float>(2.0 * diff / n);
+      // Advantage = TD error (Eq 11).
+      advantages_[static_cast<size_t>(i)] = -diff;
+    }
+    last_critic_loss_ = critic_loss / n;
+    if (guard_ != nullptr && !std::isfinite(last_critic_loss_)) {
+      // Rollback fires before any optimizer step, so the parameters still
+      // equal the last-good checkpoint exactly.
+      RollBack("non-finite critic loss");
+      return;
+    }
+    critic_grads_.Zero();
+    critic_->Backward(critic_tape_, critic_grad_, &critic_grads_,
+                      &backward_ws_, pool);
+  }
+  {
+    FM_SPAN("learn/optimizer");
+    critic_opt_->Step(critic_grads_);
   }
 
   if (learn_batches_ < options_.actor_warmup_batches) {
     // Critic warm-up: skip the policy update until values are usable.
-    critic_target_->SoftUpdateFrom(*critic_, options_.target_tau);
+    {
+      FM_SPAN("learn/optimizer");
+      critic_target_->SoftUpdateFrom(*critic_, options_.target_tau);
+    }
     ++learn_batches_;
     if (guard_ != nullptr) {
+      FM_SPAN("learn/guard");
       if (!guard_->ParametersFinite()) {
         RollBack("non-finite parameters after critic warm-up update");
         return;
@@ -359,60 +364,77 @@ void Cma2cPolicy::Update(const std::vector<Transition>& transitions) {
     return;
   }
 
-  const double entropy_bonus = std::max(
-      options_.entropy_bonus_floor,
-      options_.entropy_bonus *
-          std::pow(options_.entropy_decay,
-                   static_cast<double>(learn_batches_)));
-
   // --- Actor: policy gradient with entropy regularisation (Eq 8).
-  Mlp::Tape& actor_tape = actor_tape_;  // buffers reused across updates
-  actor_->ForwardTape(x, &actor_tape);
-  const Matrix& logits = actor_->Output(actor_tape);
-  Matrix actor_grad(n, num_actions_);
-  double total_entropy = 0.0;
-  double total_actor_loss = 0.0;
-  for (int i = 0; i < n; ++i) {
-    const Transition& t = transitions[static_cast<size_t>(i)];
-    space_->Mask(t.region, t.must_charge, t.may_charge, &mask_scratch_);
-    std::vector<float> probs(logits.Row(i), logits.Row(i) + num_actions_);
-    MaskedSoftmax(mask_scratch_, &probs);
-    double entropy = 0.0;
-    for (int a = 0; a < num_actions_; ++a) {
-      const double p = probs[static_cast<size_t>(a)];
-      if (p > 0.0) entropy -= p * std::log(p);
+  {
+    FM_SPAN("learn/actor");
+    if (options_.normalize_advantages && n > 1) {
+      double mean = 0.0;
+      for (double a : advantages_) mean += a;
+      mean /= n;
+      double var = 0.0;
+      for (double a : advantages_) var += (a - mean) * (a - mean);
+      var /= n;
+      const double stddev = std::sqrt(var) + 1e-6;
+      for (double& a : advantages_) a = (a - mean) / stddev;
     }
-    total_entropy += entropy;
-    const double adv = advantages[static_cast<size_t>(i)];
-    const double p_taken = probs[static_cast<size_t>(t.action_index)];
-    if (p_taken > 0.0) total_actor_loss += -adv * std::log(p_taken);
-    for (int a = 0; a < num_actions_; ++a) {
-      if (!mask_scratch_[static_cast<size_t>(a)]) {
-        actor_grad.At(i, a) = 0.0f;
-        continue;
-      }
-      const double p = probs[static_cast<size_t>(a)];
-      // dL/dlogit = adv*(pi - onehot) + c*pi*(log pi + H)
-      double g = adv * (p - (a == t.action_index ? 1.0 : 0.0));
-      if (p > 0.0) {
-        g += entropy_bonus * p * (std::log(p) + entropy);
-      }
-      actor_grad.At(i, a) = static_cast<float>(g / n);
-    }
-  }
-  last_entropy_ = total_entropy / n;
-  last_actor_loss_ = total_actor_loss / n;
-  if (guard_ != nullptr && !std::isfinite(last_entropy_)) {
-    RollBack("non-finite actor logits/entropy");
-    return;
-  }
-  Mlp::Gradients actor_grads = actor_->MakeGradients();
-  actor_->Backward(actor_tape, actor_grad, &actor_grads, &backward_ws_);
-  actor_opt_->Step(actor_grads);
+    const double entropy_bonus = std::max(
+        options_.entropy_bonus_floor,
+        options_.entropy_bonus *
+            std::pow(options_.entropy_decay,
+                     static_cast<double>(learn_batches_)));
 
-  critic_target_->SoftUpdateFrom(*critic_, options_.target_tau);
+    actor_->ForwardTape(learn_x_, &actor_tape_, pool);
+    const Matrix& logits = actor_->Output(actor_tape_);
+    actor_grad_.Resize(n, num_actions_);
+    probs_.resize(static_cast<size_t>(num_actions_));
+    double total_entropy = 0.0;
+    double total_actor_loss = 0.0;
+    for (int i = 0; i < n; ++i) {
+      const Transition& t = transitions[static_cast<size_t>(i)];
+      space_->Mask(t.region, t.must_charge, t.may_charge, &mask_scratch_);
+      std::copy(logits.Row(i), logits.Row(i) + num_actions_, probs_.begin());
+      MaskedSoftmax(mask_scratch_, probs_.data(), probs_.size());
+      double entropy = 0.0;
+      for (int a = 0; a < num_actions_; ++a) {
+        const double p = probs_[static_cast<size_t>(a)];
+        if (p > 0.0) entropy -= p * std::log(p);
+      }
+      total_entropy += entropy;
+      const double adv = advantages_[static_cast<size_t>(i)];
+      const double p_taken = probs_[static_cast<size_t>(t.action_index)];
+      if (p_taken > 0.0) total_actor_loss += -adv * std::log(p_taken);
+      for (int a = 0; a < num_actions_; ++a) {
+        if (!mask_scratch_[static_cast<size_t>(a)]) {
+          actor_grad_.At(i, a) = 0.0f;
+          continue;
+        }
+        const double p = probs_[static_cast<size_t>(a)];
+        // dL/dlogit = adv*(pi - onehot) + c*pi*(log pi + H)
+        double g = adv * (p - (a == t.action_index ? 1.0 : 0.0));
+        if (p > 0.0) {
+          g += entropy_bonus * p * (std::log(p) + entropy);
+        }
+        actor_grad_.At(i, a) = static_cast<float>(g / n);
+      }
+    }
+    last_entropy_ = total_entropy / n;
+    last_actor_loss_ = total_actor_loss / n;
+    if (guard_ != nullptr && !std::isfinite(last_entropy_)) {
+      RollBack("non-finite actor logits/entropy");
+      return;
+    }
+    actor_grads_.Zero();
+    actor_->Backward(actor_tape_, actor_grad_, &actor_grads_, &backward_ws_,
+                     pool);
+  }
+  {
+    FM_SPAN("learn/optimizer");
+    actor_opt_->Step(actor_grads_);
+    critic_target_->SoftUpdateFrom(*critic_, options_.target_tau);
+  }
   ++learn_batches_;
   if (guard_ != nullptr) {
+    FM_SPAN("learn/guard");
     if (!guard_->ParametersFinite()) {
       RollBack("non-finite parameters after update");
       return;

@@ -145,10 +145,22 @@ class Cma2cPolicy : public DisplacementPolicy {
   Matrix batch_x_;
   Matrix batch_logits_;
   Mlp::ShardedWorkspace forward_ws_;
-  // Training scratch reused across Update() calls.
+  // Training scratch reused across Update() calls instead of being rebuilt
+  // per update.
+  Matrix learn_x_;
+  Matrix learn_next_x_;
+  Matrix next_v_;
+  Matrix critic_grad_;
+  Matrix actor_grad_;
+  std::vector<double> targets_;
+  std::vector<double> advantages_;
+  std::vector<float> probs_;  // one actor row's masked softmax
+  Mlp::ShardedWorkspace target_ws_;
   Mlp::Tape critic_tape_;
   Mlp::Tape actor_tape_;
   Mlp::Workspace backward_ws_;
+  Mlp::Gradients critic_grads_;
+  Mlp::Gradients actor_grads_;
 };
 
 }  // namespace fairmove

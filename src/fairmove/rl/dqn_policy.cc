@@ -57,6 +57,7 @@ DqnPolicy::DqnPolicy(const Simulator& sim, Options options)
   target_net_ =
       std::make_unique<Mlp>(sizes, Activation::kRelu, options.seed + 1);
   target_net_->CopyParametersFrom(*q_net_);
+  grads_ = q_net_->MakeGradients();
   optimizer_ = std::make_unique<Adam>(
       q_net_.get(), Adam::Options{.learning_rate = options.learning_rate});
 }
@@ -190,28 +191,30 @@ void DqnPolicy::Learn(const std::vector<Transition>& transitions) {
 }
 
 void DqnPolicy::GradientStep() {
-  std::vector<const Transition*> batch;
+  std::vector<const Transition*>& batch = batch_;
   replay_.Sample(static_cast<size_t>(options_.minibatch), rng_, &batch);
   const int n = static_cast<int>(batch.size());
   const int dim = features_.dim();
 
-  Matrix x(n, dim);
-  Matrix next_x(n, dim);
+  ThreadPool* pool = &GlobalPool();
+  learn_x_.Resize(n, dim);
+  learn_next_x_.Resize(n, dim);
   for (int i = 0; i < n; ++i) {
     const Transition& t = *batch[static_cast<size_t>(i)];
-    std::copy(t.state.begin(), t.state.end(), x.Row(i));
+    std::copy(t.state.begin(), t.state.end(), learn_x_.Row(i));
     if (!t.terminal) {
-      std::copy(t.next_state.begin(), t.next_state.end(), next_x.Row(i));
+      std::copy(t.next_state.begin(), t.next_state.end(),
+                learn_next_x_.Row(i));
     }
   }
 
   // Targets: y = r + gamma^k * max_{a' valid} Q_target(s', a'); Double DQN
   // selects a' with the online network and scores it with the target.
-  Matrix next_q;
-  target_net_->Forward(next_x, &next_q);
-  Matrix next_q_online;
-  if (options_.double_dqn) q_net_->Forward(next_x, &next_q_online);
-  std::vector<float> targets(static_cast<size_t>(n));
+  target_net_->Forward(learn_next_x_, &next_q_, pool, &target_ws_);
+  if (options_.double_dqn) {
+    q_net_->Forward(learn_next_x_, &next_q_online_, pool, &online_ws_);
+  }
+  targets_.resize(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     const Transition& t = *batch[static_cast<size_t>(i)];
     double y = t.reward;
@@ -224,37 +227,37 @@ void DqnPolicy::GradientStep() {
         float best_online = -1e30f;
         for (int a = 0; a < num_actions_; ++a) {
           if (!mask_scratch_[static_cast<size_t>(a)]) continue;
-          if (next_q_online.At(i, a) > best_online) {
-            best_online = next_q_online.At(i, a);
+          if (next_q_online_.At(i, a) > best_online) {
+            best_online = next_q_online_.At(i, a);
             argmax = a;
           }
         }
-        best = next_q.At(i, argmax);
+        best = next_q_.At(i, argmax);
       } else {
         for (int a = 0; a < num_actions_; ++a) {
           if (!mask_scratch_[static_cast<size_t>(a)]) continue;
-          best = std::max(best, next_q.At(i, a));
+          best = std::max(best, next_q_.At(i, a));
         }
       }
       y += t.discount * best;
     }
-    targets[static_cast<size_t>(i)] = static_cast<float>(y);
+    targets_[static_cast<size_t>(i)] = static_cast<float>(y);
   }
 
   // MSE on the taken action's Q value only.
   Mlp::Tape& tape = tape_;  // buffers reused across gradient steps
-  q_net_->ForwardTape(x, &tape);
+  q_net_->ForwardTape(learn_x_, &tape, pool);
   const Matrix& q = q_net_->Output(tape);
-  Matrix grad(n, num_actions_);
+  grad_.Resize(n, num_actions_);
   for (int i = 0; i < n; ++i) {
     const Transition& t = *batch[static_cast<size_t>(i)];
     const float diff =
-        q.At(i, t.action_index) - targets[static_cast<size_t>(i)];
-    grad.At(i, t.action_index) = 2.0f * diff / static_cast<float>(n);
+        q.At(i, t.action_index) - targets_[static_cast<size_t>(i)];
+    grad_.At(i, t.action_index) = 2.0f * diff / static_cast<float>(n);
   }
-  Mlp::Gradients grads = q_net_->MakeGradients();
-  q_net_->Backward(tape, grad, &grads, &backward_ws_);
-  optimizer_->Step(grads);
+  grads_.Zero();
+  q_net_->Backward(tape, grad_, &grads_, &backward_ws_, pool);
+  optimizer_->Step(grads_);
 
   if (++grad_steps_ % options_.target_sync_steps == 0) {
     target_net_->CopyParametersFrom(*q_net_);

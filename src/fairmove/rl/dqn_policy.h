@@ -101,9 +101,20 @@ class DqnPolicy : public DisplacementPolicy {
   Matrix batch_x_;
   Matrix batch_q_;
   Mlp::ShardedWorkspace forward_ws_;
-  // Training scratch reused across GradientStep() calls.
+  // Training scratch reused across GradientStep() calls instead of being
+  // rebuilt per step.
+  std::vector<const Transition*> batch_;
+  Matrix learn_x_;
+  Matrix learn_next_x_;
+  Matrix next_q_;
+  Matrix next_q_online_;
+  Matrix grad_;
+  std::vector<float> targets_;
+  Mlp::ShardedWorkspace target_ws_;
+  Mlp::ShardedWorkspace online_ws_;
   Mlp::Tape tape_;
   Mlp::Workspace backward_ws_;
+  Mlp::Gradients grads_;
 };
 
 }  // namespace fairmove

@@ -6,14 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "fairmove/common/parallel.h"
 #include "fairmove/common/rng.h"
 #include "fairmove/core/fairmove.h"
 #include "fairmove/core/metrics.h"
+#include "fairmove/io/binary.h"
 #include "fairmove/resilience/fault_schedule.h"
 #include "fairmove/rl/cma2c_policy.h"
+#include "fairmove/rl/dqn_policy.h"
 #include "fairmove/rl/features.h"
 #include "fairmove/rl/gt_policy.h"
 
@@ -70,21 +74,67 @@ TEST(DeterminismTest, EvaluatorProducesIdenticalMetricsTwice) {
   EXPECT_EQ(a.metrics.charge_events, b.metrics.charge_events);
 }
 
-TEST(DeterminismTest, TrainedCma2cIsReproducible) {
+/// What one trained learner leaves behind: its SaveModel bytes (the FMLP1
+/// serialization of every saved network) and one evaluation episode's
+/// average reward.
+struct TrainedModel {
+  std::string bytes;
+  double avg_reward = 0.0;
+};
+
+/// Trains `Policy` for two episodes with the global pool at `threads`
+/// lanes, then evaluates it once.
+template <typename Policy>
+TrainedModel TrainAt(int threads, const typename Policy::Options& options) {
+  SetGlobalThreads(threads);
   FairMoveConfig cfg = FairMoveConfig::FullShenzhen().Scaled(0.04);
   cfg.trainer.episodes = 2;
   cfg.eval.days = 1;
-  auto run = [&]() {
-    auto system = std::move(FairMoveSystem::Create(cfg)).value();
-    Cma2cPolicy::Options options;
-    options.seed = 5;
-    Cma2cPolicy policy(system->sim(), options);
-    Trainer trainer = system->MakeTrainer();
-    trainer.Train(&policy);
-    const auto stats = trainer.RunEvaluationEpisode(&policy, 77, 144);
-    return stats.avg_reward;
-  };
-  EXPECT_DOUBLE_EQ(run(), run());
+  auto system = std::move(FairMoveSystem::Create(cfg)).value();
+  Policy policy(system->sim(), options);
+  Trainer trainer = system->MakeTrainer();
+  trainer.Train(&policy);
+  TrainedModel out;
+  out.avg_reward = trainer.RunEvaluationEpisode(&policy, 77, 144).avg_reward;
+  const std::string path = ::testing::TempDir() + "determinism_" +
+                           policy.name() + std::to_string(threads) + ".bin";
+  EXPECT_TRUE(policy.SaveModel(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  out.bytes.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  SetGlobalThreads(1);
+  return out;
+}
+
+// The learner's GEMMs are sharded by output rows only, so training is
+// bit-identical at any pool size. The CRCs pin the trained bytes to the
+// values the unsharded row kernels produced: a change in any kernel's
+// per-element operation order (a split reduction, a fused multiply-add, a
+// zero-skip) moves them.
+constexpr uint32_t kTrainedCma2cCrc = 0xb46e5674u;
+constexpr uint32_t kTrainedDqnCrc = 0xb44ad147u;
+
+TEST(DeterminismTest, TrainedCma2cIsReproducible) {
+  Cma2cPolicy::Options options;
+  options.seed = 5;
+  const TrainedModel one = TrainAt<Cma2cPolicy>(1, options);
+  const TrainedModel four = TrainAt<Cma2cPolicy>(4, options);
+  ASSERT_FALSE(one.bytes.empty());
+  EXPECT_TRUE(one.bytes == four.bytes) << "model bytes differ across threads";
+  EXPECT_DOUBLE_EQ(one.avg_reward, four.avg_reward);
+  EXPECT_EQ(Crc32(one.bytes), kTrainedCma2cCrc);
+}
+
+TEST(DeterminismTest, TrainedDqnIsReproducible) {
+  DqnPolicy::Options options;
+  options.seed = 6;
+  const TrainedModel one = TrainAt<DqnPolicy>(1, options);
+  const TrainedModel four = TrainAt<DqnPolicy>(4, options);
+  ASSERT_FALSE(one.bytes.empty());
+  EXPECT_TRUE(one.bytes == four.bytes) << "model bytes differ across threads";
+  EXPECT_DOUBLE_EQ(one.avg_reward, four.avg_reward);
+  EXPECT_EQ(Crc32(one.bytes), kTrainedDqnCrc);
 }
 
 // ------------------------------------- sharded stepping is thread-blind --

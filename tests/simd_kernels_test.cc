@@ -5,10 +5,11 @@
 // exactly as in the scalar loops. Each test compares the shipped kernels
 // bit-for-bit (memcmp of float bits, so -0.0f vs 0.0f and differing NaN
 // payloads fail) against a naive scalar triple loop written here, across
-// shapes chosen to exercise every code path: p-remainders (k % 4 != 0),
-// j-lane tails (n % lane width != 0), the kColBlock=256 column tiling
-// (n > 256), and non-finite inputs. The threaded tests pin the same
-// property through Mlp::Forward at 1 and 4 threads.
+// shapes chosen to hit every edge of the GEMM core's 4-row x 2-vector
+// register tile: row remainders (m % 4 != 0), column tails (n around one
+// and two lane widths), depth-block boundaries (k around 128, up to 3500),
+// and non-finite inputs. The threaded tests pin the same property through
+// Mlp::Forward, ForwardTape and Backward at 1 and 4 threads.
 
 #include <gtest/gtest.h>
 
@@ -110,13 +111,77 @@ struct Shape {
   int m, k, n;
 };
 
-/// Shapes covering: lane tails (n % 4 and n % 8 nonzero), p-remainders
-/// (k % 4 != 0), single rows/columns, and the kColBlock=256 column tile
-/// boundary (n = 256, 257, 300).
+/// Small mixed shapes: lane tails (n % 4 and n % 8 nonzero), single rows
+/// and columns, wide outputs (n = 256, 257, 300).
 const Shape kShapes[] = {
     {1, 1, 1},   {1, 4, 8},    {3, 7, 5},    {5, 13, 65}, {2, 5, 3},
     {4, 16, 32}, {3, 9, 256},  {2, 11, 257}, {2, 6, 300}, {7, 31, 33},
 };
+
+/// Every edge of the register tile: m = 1..3 leave a row remainder after
+/// the 4-row blocks (and 7 adds one whole block before it); n covers one
+/// column, the 14-wide actor head, one lane width L, one column short of
+/// and past the 2L-wide tile, and the 64-wide hidden layers; k crosses the
+/// 128-deep block boundary and reaches a 3500-row batch reduction.
+std::vector<Shape> TileEdgeShapes() {
+  constexpr int kL = simd::kFloatLanes;
+  std::vector<Shape> shapes;
+  for (int m : {1, 2, 3, 7}) {
+    for (int n : {1, 14, kL, 2 * kL - 1, 2 * kL + 1, 64}) {
+      for (int k : {1, 5, 128, 129, 3500}) shapes.push_back({m, k, n});
+    }
+  }
+  return shapes;
+}
+
+TEST(SimdKernelEquivalence, TileEdgesMatchNaiveReferenceBitForBit) {
+  uint64_t salt = 100;
+  for (const Shape& s : TileEdgeShapes()) {
+    SCOPED_TRACE(testing::Message() << "m=" << s.m << " k=" << s.k
+                                    << " n=" << s.n);
+    Matrix a(s.m, s.k), b(s.k, s.n), at(s.k, s.m), bt(s.n, s.k);
+    Fill(&a, ++salt);
+    Fill(&b, ++salt);
+    Fill(&at, ++salt);
+    Fill(&bt, ++salt);
+    Matrix got, want;
+    MatMul(a, b, &got);
+    RefMatMul(a, b, &want);
+    ExpectBitEqual(got, want, "MatMul");
+    MatMulTransA(at, b, &got);
+    RefMatMulTransA(at, b, &want);
+    ExpectBitEqual(got, want, "MatMulTransA");
+    MatMulTransB(a, bt, &got);
+    RefMatMulTransB(a, bt, &want);
+    ExpectBitEqual(got, want, "MatMulTransB");
+  }
+}
+
+TEST(SimdKernelEquivalence, AccumulatorsStartAtPositiveZero) {
+  // -1 * 0 is -0.0; added to the +0.0 every element starts from it gives
+  // +0.0. A kernel that seeded its accumulator with the first product
+  // would return -0.0 instead.
+  for (int n : {1, simd::kFloatLanes, 2 * simd::kFloatLanes + 1}) {
+    Matrix a(5, 1), b(1, n), at(1, 5), bt(n, 1);
+    for (int i = 0; i < 5; ++i) {
+      a.At(i, 0) = -1.0f;
+      at.At(0, i) = -1.0f;
+    }
+    Matrix got;
+    for (int pass = 0; pass < 3; ++pass) {
+      if (pass == 0) MatMul(a, b, &got);
+      if (pass == 1) MatMulTransA(at, b, &got);
+      if (pass == 2) MatMulTransB(a, bt, &got);
+      for (int i = 0; i < got.rows(); ++i) {
+        for (int j = 0; j < got.cols(); ++j) {
+          EXPECT_TRUE(BitEqual(got.At(i, j), 0.0f))
+              << "pass " << pass << " n=" << n << " (" << i << ", " << j
+              << ") is " << (std::signbit(got.At(i, j)) ? "-0" : "+0");
+        }
+      }
+    }
+  }
+}
 
 TEST(SimdKernelEquivalence, MatMulMatchesNaiveReferenceBitForBit) {
   for (const Shape& s : kShapes) {
@@ -270,6 +335,54 @@ TEST(SimdKernelEquivalence, ThreadedForwardBitIdenticalAcrossThreadCounts) {
     Matrix threaded;
     net.Forward(x, &threaded, &pool, &ws);
     ExpectBitEqual(threaded, serial, "threaded Forward");
+  }
+}
+
+/// Byte-compares everything one taped pass and its backprop produce.
+struct TrainPass {
+  Mlp::Tape tape;
+  Mlp::Gradients grads;
+};
+
+void ExpectSamePass(const TrainPass& got, const TrainPass& want,
+                    const char* label) {
+  ASSERT_EQ(got.tape.post.size(), want.tape.post.size());
+  for (size_t l = 0; l < want.tape.post.size(); ++l) {
+    ExpectBitEqual(got.tape.pre[l], want.tape.pre[l], label);
+    ExpectBitEqual(got.tape.post[l], want.tape.post[l], label);
+    ExpectBitEqual(got.grads.dw[l], want.grads.dw[l], label);
+    ASSERT_EQ(got.grads.db[l].size(), want.grads.db[l].size());
+    for (size_t j = 0; j < want.grads.db[l].size(); ++j) {
+      ASSERT_TRUE(BitEqual(got.grads.db[l][j], want.grads.db[l][j]))
+          << label << " db[" << l << "][" << j << "]";
+    }
+  }
+}
+
+TEST(SimdKernelEquivalence, ShardedTrainingPassBitIdenticalAcrossThreadCounts) {
+  // A CMA2C-sized batch: 3500 rows shard ForwardTape and delta * W^T by
+  // batch rows, and every dW into 4-row blocks. Gradients accumulate into
+  // non-zero buffers (a second Backward on top of the first) so the dW
+  // add-in is covered too.
+  for (Activation act : {Activation::kTanh, Activation::kRelu}) {
+    Mlp net({40, 64, 64, 14}, act, /*seed=*/17);
+    Matrix x(3500, 40), grad_out(3500, 14);
+    Fill(&x, 21);
+    Fill(&grad_out, 22);
+    x.Row(1234)[7] = kNaN;  // one poisoned row must poison identically
+    auto run = [&](ThreadPool* pool) {
+      TrainPass pass;
+      Mlp::Workspace ws;
+      pass.grads = net.MakeGradients();
+      net.ForwardTape(x, &pass.tape, pool);
+      net.Backward(pass.tape, grad_out, &pass.grads, &ws, pool);
+      net.Backward(pass.tape, grad_out, &pass.grads, &ws, pool);
+      return pass;
+    };
+    const TrainPass serial = run(nullptr);
+    ThreadPool one(1), four(4);
+    ExpectSamePass(run(&one), serial, "1-thread pass");
+    ExpectSamePass(run(&four), serial, "4-thread pass");
   }
 }
 
